@@ -503,7 +503,7 @@ def run_dynamic(
     # placement child goes to the adapter verbatim, so an epoch's
     # placement can be reproduced by calling the adapter directly.
     children = root.spawn(2 * (spec.epochs + 1))
-    residents = ResidentState(n)
+    residents = ResidentState(n, spec.departures, hot_frac=spec.hot_frac)
     records: list[EpochRecord] = []
     history = np.zeros((spec.epochs + 1, n), dtype=np.int64)
 
@@ -671,12 +671,7 @@ def run_dynamic(
                 )
             continue
         departing = count
-        residents.depart(
-            departing,
-            spec.departures,
-            ctrl.stream("dynamic", "departures"),
-            hot_frac=spec.hot_frac,
-        )
+        residents.depart(departing, ctrl.stream("dynamic", "departures"))
         base = residents.loads
         if spec.rebalance == "incremental":
             counts, stats, elapsed = _execute(count, base, place_seed, ctrl)
@@ -691,8 +686,9 @@ def run_dynamic(
             )
             elapsed = time.perf_counter() - start
             # The arriving cohort joins before the reshuffle so its
-            # balls get bin positions (and ages) like everyone else's;
-            # its pre-reshuffle bin composition is a placeholder.
+            # balls get bin positions (and, under fifo, ages) like
+            # everyone else's; its pre-reshuffle bin composition is a
+            # placeholder.
             placeholder = np.zeros(n, dtype=np.int64)
             placeholder[0] = count
             residents.add_cohort(epoch, placeholder)

@@ -84,8 +84,8 @@ class DynamicSpec:
     departures:
         Departure policy (``uniform``/``fifo``/``hotset``/
         ``greedy_adversary``).  The adversarial policy drains the
-        lightest bins level by level (gap-maximizing, deterministic up
-        to cohort splits).
+        lightest bins level by level (gap-maximizing, deterministic in
+        the loads).
     hot_frac:
         Hotset departures and hotset-adversary arrivals: the fraction
         of currently hottest bins the policy targets (departures drawn

@@ -4,7 +4,7 @@ The service speaks three event kinds:
 
 * :class:`Place` — ``count`` new balls ask to enter the system;
 * :class:`Release` — ``count`` resident balls leave.  Releases are
-  *anonymous*: the dynamic engine tracks residents at cohort-by-bin
+  *anonymous*: the dynamic engine tracks residents at bin
   granularity (:class:`~repro.dynamic.state.ResidentState`), so which
   balls leave is decided by the service's departure policy when the
   batch flushes, exactly as in :func:`repro.run_dynamic`;

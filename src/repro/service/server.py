@@ -47,7 +47,6 @@ from repro.dynamic.runner import (
     _resolve_workload,
 )
 from repro.dynamic.faults import FaultState, place_with_loss
-from repro.dynamic.spec import DEPARTURE_KINDS
 from repro.dynamic.state import ResidentState
 from repro.fastpath.buffers import RoundBuffers
 from repro.service.admission import (
@@ -202,7 +201,8 @@ class AllocatorService:
         for wall time.
     departures, hot_frac:
         Departure policy applied when a batch's releases are drawn
-        (``uniform``/``fifo``/``hotset``, as in :class:`DynamicSpec`).
+        (``uniform``/``fifo``/``hotset``/``greedy_adversary``, as in
+        :class:`DynamicSpec`).
     workload:
         Optional workload for arriving cohorts (same rules as
         ``run_dynamic``: skew/capacities yes, weights no).
@@ -255,11 +255,7 @@ class AllocatorService:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_wait < 0:
             raise ValueError(f"max_wait must be >= 0, got {max_wait}")
-        if departures not in DEPARTURE_KINDS:
-            raise ValueError(
-                f"unknown departure policy {departures!r}; expected one "
-                f"of {', '.join(DEPARTURE_KINDS)}"
-            )
+        self.residents = ResidentState(n, departures, hot_frac=hot_frac)
         spec, entry = _resolve_entry(algorithm)
         _check_options(entry, spec.name, options)
         self._entry = entry
@@ -290,8 +286,6 @@ class AllocatorService:
         self.n = n
         self.max_batch = max_batch
         self.max_wait = max_wait
-        self.departures = departures
-        self.hot_frac = hot_frac
         self.auto_flush = auto_flush
         self.policy = policy if policy is not None else AdmissionPolicy()
         self.controller = GapSloController(self.policy)
@@ -300,7 +294,6 @@ class AllocatorService:
             max_queue if max_queue is not None else 64 * max_batch
         )
         self._root = as_seed_sequence(seed)
-        self.residents = ResidentState(n)
         self.records: list[BatchRecord] = []
         #: Audit log of public mutating calls: (op, count, at) tuples.
         self.trace: list[tuple[str, int, float]] = []
@@ -485,10 +478,7 @@ class AllocatorService:
         self._dropped_releases += releases - released
         if released:
             self.residents.depart(
-                released,
-                self.departures,
-                ctrl.stream("dynamic", "departures"),
-                hot_frac=self.hot_frac,
+                released, ctrl.stream("dynamic", "departures")
             )
         placed = unplaced = rounds = messages = moved = 0
         place_start = tele.begin() if tele is not None else 0.0

@@ -61,7 +61,8 @@ def _result_key(res):
     return records, res.loads_history.tolist()
 
 
-def _fill(state: ResidentState, loads):
+def _fill(loads):
+    state = ResidentState(len(loads), "greedy_adversary")
     state.add_cohort(0, np.asarray(loads, dtype=np.int64))
     return state
 
@@ -73,8 +74,8 @@ def _fill(state: ResidentState, loads):
 
 class TestGreedyAdversaryDepartures:
     def test_drains_lightest_levels_first(self, rng):
-        state = _fill(ResidentState(5), [10, 1, 3, 3, 7])
-        gone = state.depart(4, "greedy_adversary", rng)
+        state = _fill([10, 1, 3, 3, 7])
+        gone = state.depart(4, rng)
         # 1 from the level-1 bin, then 3 of the 6 balls at level 3 —
         # the heavy bins (7, 10) are untouched.
         assert int(gone.sum()) == 4
@@ -83,8 +84,8 @@ class TestGreedyAdversaryDepartures:
         assert state.loads[0] == 10 and state.loads[4] == 7
 
     def test_max_bin_survives_partial_drain(self, rng):
-        state = _fill(ResidentState(4), [20, 5, 5, 5])
-        gone = state.depart(15, "greedy_adversary", rng)
+        state = _fill([20, 5, 5, 5])
+        gone = state.depart(15, rng)
         # The three light bins are emptied; the maximum is untouched.
         assert gone[0] == 0 and int(gone.sum()) == 15
         assert state.loads[0] == 20
@@ -93,20 +94,20 @@ class TestGreedyAdversaryDepartures:
     def test_tied_boundary_level_spread(self, rng):
         # Four bins tied at load 6; budget 10 cannot empty the level,
         # so spread_budget apportions it across the tied bins.
-        state = _fill(ResidentState(4), [6, 6, 6, 6])
-        gone = state.depart(10, "greedy_adversary", rng)
+        state = _fill([6, 6, 6, 6])
+        gone = state.depart(10, rng)
         assert int(gone.sum()) == 10
         assert gone.max() - gone.min() <= 1
 
     def test_full_population_drain(self, rng):
-        state = _fill(ResidentState(3), [4, 2, 9])
-        gone = state.depart(15, "greedy_adversary", rng)
+        state = _fill([4, 2, 9])
+        gone = state.depart(15, rng)
         assert int(gone.sum()) == 15
         assert state.population == 0
 
     def test_zero_is_noop_without_draw(self):
-        state = _fill(ResidentState(3), [1, 2, 3])
-        gone = state.depart(0, "greedy_adversary", None)
+        state = _fill([1, 2, 3])
+        gone = state.depart(0, None)
         assert not gone.any()
         assert state.population == 6
 
@@ -114,11 +115,10 @@ class TestGreedyAdversaryDepartures:
         loads = [8, 1, 5, 5, 12, 0, 3]
         outs = []
         for seed in (0, 1):
-            state = _fill(ResidentState(7), list(loads))
+            state = _fill(list(loads))
             rng = np.random.default_rng(seed)
-            outs.append(state.depart(9, "greedy_adversary", rng))
-        # Which cohort's balls leave a bin is random, but the per-bin
-        # totals are a pure function of the loads.
+            outs.append(state.depart(9, rng))
+        # The per-bin drain is a pure function of the loads.
         np.testing.assert_array_equal(outs[0], outs[1])
 
     @pytest.mark.parametrize("algo", DYNAMIC_CAPABLE)

@@ -16,6 +16,8 @@ Pins the subsystem's contracts:
 """
 
 import json
+import math
+import zlib
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from repro.dynamic import (
     run_dynamic,
     run_dynamic_many,
 )
+from repro.dynamic.spec import DEPARTURE_KINDS
+from repro.dynamic.state import hypergeometric_method
 from repro.workloads import WorkloadError
 
 DYNAMIC_CAPABLE = ("heavy", "combined", "single", "stemann")
@@ -95,35 +99,38 @@ class TestDynamicSpec:
 
 
 class TestResidentState:
-    def _populated(self, n=8, sizes=(40, 30, 20)):
-        state = ResidentState(n)
+    def _populated(self, n=8, sizes=(40, 30, 20), policy="fifo", **kwargs):
+        state = ResidentState(n, policy, **kwargs)
         rng = np.random.default_rng(1)
         for epoch, size in enumerate(sizes):
             counts = rng.multinomial(size, np.full(n, 1 / n))
             state.add_cohort(epoch, counts)
         return state
 
-    @pytest.mark.parametrize("policy", ["uniform", "fifo", "hotset"])
+    @pytest.mark.parametrize("policy", DEPARTURE_KINDS)
     def test_departure_conservation(self, policy):
-        state = self._populated()
-        before = state.population
-        departed = state.depart(
-            25, policy, np.random.default_rng(2), hot_frac=0.25
-        )
-        assert departed.sum() == 25
-        assert state.population == before - 25
-        assert np.all(state.loads >= 0)
+        # 90 is the whole population: every resident leaves.
+        for k in (25, 90):
+            state = self._populated(policy=policy, hot_frac=0.25)
+            # Only fifo reads ball ages, so only fifo keeps cohorts.
+            assert len(state.cohorts) == (3 if policy == "fifo" else 0)
+            before = state.loads
+            departed = state.depart(k, np.random.default_rng(2))
+            assert departed.sum() == k
+            assert np.array_equal(state.loads, before - departed)
+            assert np.all(state.loads >= 0)
+        assert state.population == 0 and state.cohorts == []
 
     def test_zero_departures_no_rng(self):
-        state = self._populated()
+        state = self._populated(policy="uniform")
         before = state.loads
-        departed = state.depart(0, "uniform", None)
+        departed = state.depart(0, None)
         assert departed.sum() == 0
         assert np.array_equal(state.loads, before)
 
     def test_fifo_consumes_oldest_first(self):
         state = self._populated(sizes=(40, 30, 20))
-        state.depart(45, "fifo", np.random.default_rng(3))
+        state.depart(45, np.random.default_rng(3))
         epochs = [epoch for epoch, _ in state.cohorts]
         # Cohort 0 (40 balls) fully gone, cohort 1 split, cohort 2 whole.
         assert 0 not in epochs
@@ -131,35 +138,37 @@ class TestResidentState:
         assert sizes[1] == 25 and sizes[2] == 20
 
     def test_hotset_prefers_hottest_bins(self):
-        state = ResidentState(4)
+        state = ResidentState(4, "hotset", hot_frac=0.25)
         state.add_cohort(0, np.array([100, 10, 10, 10], dtype=np.int64))
-        departed = state.depart(
-            50, "hotset", np.random.default_rng(4), hot_frac=0.25
-        )
+        departed = state.depart(50, np.random.default_rng(4))
         # The hottest bin holds 100 >= 50, so everything leaves there.
         assert departed[0] == 50
         assert departed[1:].sum() == 0
 
     def test_hotset_falls_back_to_cold(self):
-        state = ResidentState(4)
+        state = ResidentState(4, "hotset", hot_frac=0.25)
         state.add_cohort(0, np.array([5, 20, 20, 20], dtype=np.int64))
-        departed = state.depart(
-            30, "hotset", np.random.default_rng(4), hot_frac=0.25
-        )
+        departed = state.depart(30, np.random.default_rng(4))
         # Hot set is the single hottest bin (bin 1, 20 balls): drained
         # fully, remainder from the cold bins.
         assert departed[np.argmax([5, 20, 20, 20])] == 20
         assert departed.sum() == 30
 
     def test_overdraw_rejected(self):
-        state = self._populated()
+        state = self._populated(policy="uniform")
         with pytest.raises(ValueError, match="population"):
-            state.depart(1000, "uniform", np.random.default_rng(0))
+            state.depart(1000, np.random.default_rng(0))
 
     def test_unknown_policy(self):
-        state = self._populated()
         with pytest.raises(ValueError, match="policy"):
-            state.depart(1, "lifo", np.random.default_rng(0))
+            ResidentState(8, "lifo")
+
+    def test_reshuffle_without_ages_only_moves_loads(self):
+        state = self._populated(policy="uniform")
+        new_loads = np.random.default_rng(5).multinomial(65, np.full(8, 1 / 8))
+        state.reshuffle(new_loads, None)  # no cohorts to split: no draw
+        assert np.array_equal(state.loads, new_loads)
+        assert state.cohorts == []
 
     def test_reshuffle_preserves_cohort_sizes(self):
         state = self._populated(sizes=(40, 30, 20))
@@ -175,6 +184,62 @@ class TestResidentState:
         new_loads = rng.multinomial(65, np.full(8, 1 / 8)).astype(np.int64)
         state.reshuffle(new_loads, rng)
         assert [int(c.sum()) for _, c in state.cohorts] == [40, 25]
+
+
+class TestDepartureLaw:
+    """Per-bin departures are exact multivariate-hypergeometric draws:
+    over 2,000 seeds their per-bin means and variances match the closed
+    form, on one instance each side of the count/marginals choice."""
+
+    SEEDS = 2000
+    HOT_FRAC = 0.25
+    #: side -> (per-bin loads, departures, method of the uniform draw)
+    INSTANCES = {
+        "count": (5 + np.arange(64) % 7, 150, "count"),
+        "marginals": (np.arange(900, 1700, 100), 4000, "marginals"),
+    }
+
+    @staticmethod
+    def _moments(loads, k):
+        """Per-bin mean and variance of MVHG(loads, k)."""
+        total = loads.sum()
+        p = loads / total
+        mean = k * p
+        return mean, mean * (1 - p) * (total - k) / (total - 1)
+
+    def _expected(self, policy, loads, k):
+        if policy == "uniform":
+            return self._moments(loads, k)
+        # hotset: one draw over the hottest bins, the rest from the cold.
+        n = loads.size
+        n_hot = max(1, min(n - 1, math.ceil(self.HOT_FRAC * n)))
+        order = np.argsort(-loads, kind="stable")
+        hot, cold = order[:n_hot], order[n_hot:]
+        k_hot = min(k, loads[hot].sum())
+        mean, var = np.zeros(n), np.zeros(n)
+        mean[hot], var[hot] = self._moments(loads[hot], k_hot)
+        mean[cold], var[cold] = self._moments(loads[cold], k - k_hot)
+        return mean, var
+
+    @pytest.mark.parametrize("policy", ["uniform", "hotset"])
+    @pytest.mark.parametrize("side", sorted(INSTANCES))
+    def test_moments_match_closed_form(self, policy, side):
+        loads, k, method = self.INSTANCES[side]
+        assert hypergeometric_method(int(loads.sum()), k, loads.size) == (
+            method
+        )
+        draws = np.empty((self.SEEDS, loads.size))
+        for seed in range(self.SEEDS):
+            state = ResidentState(loads.size, policy, hot_frac=self.HOT_FRAC)
+            state.add_cohort(0, loads)
+            draws[seed] = state.depart(k, np.random.default_rng(seed))
+        assert np.all(draws.sum(axis=1) == k)
+        mean, var = self._expected(policy, loads, k)
+        tolerance = 5 * np.sqrt(var / self.SEEDS) + 1e-12
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= tolerance)
+        np.testing.assert_allclose(
+            draws.var(axis=0, ddof=1), var, rtol=0.2, atol=1e-12
+        )
 
 
 class TestRunDynamicInvariants:
@@ -335,9 +400,7 @@ class TestValueAnchors:
         residents = ResidentState(32)
         residents.add_cohort(0, fill.loads)
         ctrl = RngFactory(children[2])
-        residents.depart(
-            800, "uniform", ctrl.stream("dynamic", "departures")
-        )
+        residents.depart(800, ctrl.stream("dynamic", "departures"))
         direct = dynamic_heavy(
             800, 32, initial_loads=residents.loads, seed=children[3]
         )
@@ -358,6 +421,39 @@ class TestValueAnchors:
             assert np.array_equal(p.loads, h.loads), mode
             assert p.total_messages == h.total_messages
             assert p.rounds == h.rounds
+
+
+class TestPinnedStreams:
+    """The policies whose draws stayed put when uniform and hotset
+    departures moved to per-bin sampling: crc32 of ``loads_history``
+    and the per-epoch messages, computed with the cohort-by-bin
+    departure draws they replaced."""
+
+    @staticmethod
+    def _fingerprint(res):
+        history = np.ascontiguousarray(res.loads_history, dtype="<i8")
+        return zlib.crc32(history.tobytes()), res.messages.tolist()
+
+    def test_greedy_adversary_with_faults(self):
+        res = run_dynamic(
+            "heavy", 4000, 32, seed=11, epochs=6, churn=0.2,
+            departures="greedy_adversary",
+            fault_model=repro.FaultModel(
+                bin_fail_prob=0.1, bin_recover_prob=0.3, loss_prob=0.05
+            ),
+        )
+        assert self._fingerprint(res) == (
+            395140298, [19712, 6638, 2951, 3243, 3272, 2994, 2860]
+        )
+
+    def test_fifo(self):
+        res = run_dynamic(
+            "heavy", 4000, 32, seed=13, epochs=6, churn=0.2,
+            departures="fifo",
+        )
+        assert self._fingerprint(res) == (
+            1330288242, [9463, 2266, 2259, 2271, 2259, 2268, 2251]
+        )
 
 
 class TestReproducibility:

@@ -417,6 +417,18 @@ class TestServiceEdgeCases:
             assert a.places == b.places
             assert a.max_load == b.max_load
 
+    def test_uniform_service_keeps_no_cohorts_as_it_ages(self):
+        # Uniform departures never read ball ages, so the resident state
+        # stays the (n,) loads however many flushes the service makes.
+        svc = self._service(max_batch=32)
+        svc.place(1600)
+        for _ in range(200):
+            svc.release(16)
+            svc.place(16)  # the count watermark flushes every pair
+        assert len(svc.records) == 201
+        assert svc.residents.cohorts == []
+        assert svc.population == 1600
+
     def test_release_clamped_to_population(self):
         svc = self._service(max_batch=10**9)
         svc.place(100)

@@ -406,6 +406,8 @@ class TestWorkloadBench:
         out_r = tmp_path / "r.json"
         out_d = tmp_path / "d.json"
         out_s = tmp_path / "s.json"
+        out_a = tmp_path / "a.json"
+        out_t = tmp_path / "t.json"
         proc = subprocess.run(
             [
                 sys.executable,
@@ -421,6 +423,8 @@ class TestWorkloadBench:
                 "--replication-output", str(out_r),
                 "--dynamic-output", str(out_d),
                 "--service-output", str(out_s),
+                "--adversarial-output", str(out_a),
+                "--telemetry-output", str(out_t),
             ],
             capture_output=True,
             text=True,
@@ -449,3 +453,5 @@ class TestWorkloadBench:
         assert {r["rebalance"] for r in dynamic["records"]} == {
             "incremental", "full_rerun"
         }
+        assert json.loads(out_a.read_text())["scale"] == "smoke"
+        assert json.loads(out_t.read_text())["scale"] == "smoke"
