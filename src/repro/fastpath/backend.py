@@ -16,14 +16,21 @@ be swapped wholesale:
     Counting-sort grouping: classify bins with one ``np.bincount``
     (bins whose request count fits capacity accept everything, bins
     with zero capacity reject everything — neither needs a sort), then
-    rank only the *contended* remainder with a single ``argsort`` of a
-    packed ``(bin << 32) | mark32`` integer key, repairing the rare
-    32-bit mark collisions with an exact tie-run re-sort.  Commit
-    resolution exploits the ball-major request layout with a segmented
-    ``np.minimum.reduceat`` instead of a second lexsort, and integer
-    scatters use ``np.bincount`` when dense.  ``O(m + n + c log c)``
-    where ``c`` is the contended-request count, versus the reference's
-    ``O(m log m)`` always.
+    select within the *contended* remainder.  When the ``c`` contended
+    requests fill at least 8 buckets of about 4 per bin, *exact bucket
+    selection*: one histogram over ``(bin, floor(priority * K))``
+    cells, ``K`` a power of two with ``n * K <= c / 4``, and a per-bin
+    running count find each bin's boundary bucket; requests below it
+    are accepted, requests above it rejected, and only the boundary
+    buckets' members (4–8 per bin) are ranked — ``O(m + n K + b log
+    b)`` for ``b`` boundary requests.  Otherwise the whole contended
+    subset is ranked — ``O(m + n + c log c)``.  Ranking is one
+    ``argsort`` of a packed ``(bin << 32) | mark32`` integer key, with
+    the rare 32-bit mark collisions repaired by an exact tie-run
+    re-sort.  Commit resolution exploits the ball-major request layout
+    with a segmented ``np.minimum.reduceat`` instead of a second
+    lexsort, and integer scatters use ``np.bincount`` when dense.  The
+    reference is ``O(m log m)`` always.
 
 The contract, enforced by the backend-equivalence test suite and
 in-run by ``benchmarks/run_benchmarks.py``: both backends consume the
@@ -186,6 +193,24 @@ class KernelBackend:
         return f"<KernelBackend {self.name!r}>"
 
 
+def _accept_in_order(
+    bins: np.ndarray, order: np.ndarray, capacity: np.ndarray
+) -> np.ndarray:
+    """Boolean mask over ``bins``: accept the first ``capacity[b]``
+    entries of each bin ``b`` in ``order``, a permutation that lists
+    each bin's entries contiguously, best first."""
+    k = order.size
+    sorted_bins = bins[order]
+    change = np.flatnonzero(np.diff(sorted_bins)) + 1
+    starts = np.concatenate(([0], change))
+    block_lengths = np.diff(np.concatenate((starts, [k])))
+    group_start = np.repeat(starts, block_lengths)
+    rank_within_bin = np.arange(k) - group_start
+    mask = np.zeros(k, dtype=bool)
+    mask[order[rank_within_bin < capacity[sorted_bins]]] = True
+    return mask
+
+
 class ReferenceBackend(KernelBackend):
     """The historical lexsort/argsort/add.at kernels, verbatim.
 
@@ -197,18 +222,8 @@ class ReferenceBackend(KernelBackend):
     name = "reference"
 
     def grouped_accept_with_priorities(self, choices, capacity, priorities):
-        k = choices.size
         order = np.lexsort((priorities, choices))
-        sorted_bins = choices[order]
-        change = np.flatnonzero(np.diff(sorted_bins)) + 1
-        starts = np.concatenate(([0], change))
-        block_lengths = np.diff(np.concatenate((starts, [k])))
-        group_start = np.repeat(starts, block_lengths)
-        rank_within_bin = np.arange(k) - group_start
-        accepted_sorted = rank_within_bin < capacity[sorted_bins]
-        mask = np.zeros(k, dtype=bool)
-        mask[order[accepted_sorted]] = True
-        return mask
+        return _accept_in_order(choices, order, capacity)
 
     def _commit_winners(self, acc_ball, acc_mark):
         order2 = np.lexsort((acc_mark, acc_ball))
@@ -231,10 +246,21 @@ _BIN_SHIFT = np.uint64(32)
 #: Bin spaces at or beyond ``2**32`` cannot share a uint64 key with a
 #: 32-bit mark; the fused path falls back to the reference sort there.
 _MAX_PACKED_BINS = 1 << 32
+#: Bucket selection sizes its histogram for about this many contended
+#: requests per (bin, bucket) cell, and ranks the whole contended
+#: subset instead when fewer than ``_MIN_BUCKETS`` buckets would fit.
+_BUCKET_CELL = 4
+_MIN_BUCKETS = 8
 
 
 class FusedBackend(ReferenceBackend):
     """Counting-sort grouping, segmented commit, bincount scatters.
+
+    Grouping ranks only what capacity leaves undecided: with many
+    contended requests per bin, exact bucket selection
+    (:meth:`_bucketed_accept`) ranks just each bin's boundary bucket,
+    ``O(m + n K + b log b)``; with few, the packed-key argsort ranks
+    the contended subset, ``O(m + n + c log c)``.
 
     Inherits the reference implementations as its exact fallback for
     inputs outside the fast path's preconditions (priorities outside
@@ -254,10 +280,25 @@ class FusedBackend(ReferenceBackend):
         counts = np.bincount(choices, minlength=n)
         # Bins whose request count fits capacity accept every request;
         # zero-capacity bins reject every request.  Only the contended
-        # remainder (0 < capacity < count) needs within-bin ranking.
+        # remainder (0 < capacity < count) needs within-bin selection.
         full = counts <= capacity
-        mask = full[choices]
         contended = ~full & (capacity > 0)
+        if choices.size >= _BUCKET_CELL * _MIN_BUCKETS * n:
+            # Only rounds this large can have enough contended requests
+            # to fill the buckets.  Bucket selection indexes every
+            # request by its priority, so it needs all of them in
+            # [0, 1); other inputs take the path below.
+            cells = int(counts[contended].sum()) // (_BUCKET_CELL * n)
+            if (
+                cells >= _MIN_BUCKETS
+                and priorities.min() >= 0.0
+                and priorities.max() < 1.0
+            ):
+                return self._bucketed_accept(
+                    choices, priorities, capacity, contended,
+                    1 << (cells.bit_length() - 1),
+                )
+        mask = full[choices]
         sel = contended[choices]
         if not sel.any():
             return mask
@@ -271,18 +312,44 @@ class FusedBackend(ReferenceBackend):
                 choices, capacity, priorities
             )
         order = self._packed_bin_priority_order(sub_choices, sub_prio)
-        ks = sub_choices.size
-        sorted_bins = sub_choices[order]
-        change = np.flatnonzero(np.diff(sorted_bins)) + 1
-        starts = np.concatenate(([0], change))
-        block_lengths = np.diff(np.concatenate((starts, [ks])))
-        group_start = np.repeat(starts, block_lengths)
-        rank_within_bin = np.arange(ks) - group_start
-        accepted_sorted = rank_within_bin < capacity[sorted_bins]
-        sub_mask = np.zeros(ks, dtype=bool)
-        sub_mask[order[accepted_sorted]] = True
-        mask[sel] = sub_mask
+        mask[sel] = _accept_in_order(sub_choices, order, capacity)
         return mask
+
+    def _bucketed_accept(self, choices, priorities, capacity, contended,
+                         buckets):
+        """The accept mask, found without sorting the contended bins.
+
+        ``floor(priority * buckets)`` is exact and monotone for
+        priorities in ``[0, 1)`` and a power-of-two ``buckets``.  One
+        histogram over ``(bin, bucket)`` cells and a per-bin running
+        count locate each contended bin's *boundary bucket*, the first
+        whose running count reaches capacity: requests below it are
+        accepted, requests above it rejected, and only the boundary
+        buckets' members are ranked, for the capacity the lower buckets
+        left.  Keys stay below ``n * buckets <= c / _BUCKET_CELL``
+        (``c`` contended requests), so int32 choices cannot overflow.
+        """
+        n = capacity.size
+        key_dtype = np.promote_types(choices.dtype, np.int32)
+        bucket = (priorities * buckets).astype(key_dtype)
+        hist = np.bincount(
+            choices.astype(key_dtype, copy=False) * buckets + bucket,
+            minlength=n * buckets,
+        ).reshape(n, buckets)
+        short = hist.cumsum(axis=1) < capacity[:, None]
+        # Full bins accept every bucket and zero-capacity bins none, so
+        # neither has a boundary bucket to rank.
+        boundary = np.where(
+            contended, short.sum(axis=1), np.where(capacity > 0, buckets, -1)
+        ).astype(key_dtype)
+        left = capacity - (hist * short).sum(axis=1)
+        bin_boundary = boundary[choices]
+        accepted = bucket < bin_boundary
+        tied = np.flatnonzero(bucket == bin_boundary)
+        tied_bins = choices[tied]
+        order = self._packed_bin_priority_order(tied_bins, priorities[tied])
+        accepted[tied] = _accept_in_order(tied_bins, order, left)
+        return accepted
 
     @staticmethod
     def _packed_bin_priority_order(

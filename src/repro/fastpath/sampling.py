@@ -364,7 +364,7 @@ def grouped_accept(
     cap = np.maximum(capacity, 0)
     if int(cap.max(initial=0)) == 0:
         # Every bin saturated (zero-capacity round): all requests are
-        # rejected; skip the O(k log k) sort and its priority draws.
+        # rejected; skip the grouping and its priority draws.
         return np.zeros(k, dtype=bool)
     if buffers is not None:
         priorities = fill_priorities(

@@ -11,7 +11,9 @@ kernels.  These tests are that promise, at three levels:
   priority skew — including the adversarial edges the packed-key trick
   must survive (priorities at/above 1.0, the ``1 - 2**-53`` float whose
   ``* 2**32`` rounds up, duplicated priorities, unsorted requester
-  positions, zero capacity);
+  positions, zero capacity), and the heavily loaded inputs that reach
+  exact bucket selection (whole bins in one bucket, priorities on
+  bucket edges, capacity at and just below the count, int32 choices);
 * end-to-end runs: perball and aggregate granularities, trial-batched
   replication, residual ``initial_loads``, zipf+weighted workloads,
   dynamic churn, per-ball message counters;
@@ -155,6 +157,210 @@ class TestGroupingPrimitive:
             choices, capacity, priorities, backend=FUSED
         )
         np.testing.assert_array_equal(via_name, via_instance)
+
+
+def _expected_buckets(choices, capacity):
+    """The bucket count the fused sizing rule picks: ``2**floor(log2(
+    c / 4n))`` for ``c`` contended requests, 0 below 8 buckets."""
+    n = capacity.size
+    counts = np.bincount(choices, minlength=n)
+    contended = (counts > capacity) & (capacity > 0)
+    cells = int(counts[contended].sum()) // (4 * n)
+    return 1 << (cells.bit_length() - 1) if cells >= 8 else 0
+
+
+@pytest.fixture
+def bucket_calls(monkeypatch):
+    """The ``buckets`` argument of every exact bucket selection the
+    fused backend runs."""
+    calls = []
+    original = FusedBackend._bucketed_accept
+
+    def spy(self, choices, priorities, capacity, contended, buckets):
+        calls.append(buckets)
+        return original(
+            self, choices, priorities, capacity, contended, buckets
+        )
+
+    monkeypatch.setattr(FusedBackend, "_bucketed_accept", spy)
+    return calls
+
+
+def _contended_capacity(rng, choices, n):
+    """A capacity in ``[1, count - 1]`` for every bin with two or more
+    requests: every such bin is contended."""
+    counts = np.bincount(choices, minlength=n)
+    return rng.integers(1, np.maximum(counts, 2)).astype(np.int64)
+
+
+class TestBucketedSelection:
+    """Exact bucket selection (many contended requests per bin) equals
+    the reference lexsort bitwise, on the inputs that stress it."""
+
+    def _check(self, calls, choices, capacity, priorities):
+        buckets = _expected_buckets(choices, capacity)
+        assert buckets >= 8, "instance must reach bucket selection"
+        calls.clear()
+        ref = REFERENCE.grouped_accept_with_priorities(
+            choices, capacity, priorities
+        )
+        fus = FUSED.grouped_accept_with_priorities(
+            choices, capacity, priorities
+        )
+        np.testing.assert_array_equal(ref, fus)
+        assert calls == [buckets]
+
+    def test_all_equal_priorities_rank_by_index(self, bucket_calls):
+        # One bucket holds each whole bin: the boundary ranking decides
+        # by original index alone.
+        n, k = 4, 4096
+        choices = np.arange(k, dtype=np.int64) % n
+        capacity = np.array([1, 100, 512, 1023], dtype=np.int64)
+        self._check(bucket_calls, choices, capacity, np.full(k, 0.375))
+
+    def test_priorities_on_bucket_edges(self, bucket_calls):
+        rng = np.random.default_rng(21)
+        n, k = 8, 16_000
+        choices = rng.integers(0, n, size=k)
+        capacity = _contended_capacity(rng, choices, n)
+        buckets = _expected_buckets(choices, capacity)
+        for scale in (buckets // 4, buckets, 2 * buckets):
+            priorities = rng.integers(0, scale, size=k) / scale
+            self._check(bucket_calls, choices, capacity, priorities)
+
+    def test_mass_at_one_minus_2_53(self, bucket_calls):
+        # The float whose * 2**32 rounds up to 2**32 lands in the last
+        # bucket; capacity close to the count puts the boundary there.
+        rng = np.random.default_rng(22)
+        n, k = 8, 8192
+        choices = rng.integers(0, n, size=k)
+        priorities = np.where(
+            rng.random(k) < 0.5, 1.0 - 2.0**-53, rng.random(k)
+        )
+        counts = np.bincount(choices, minlength=n)
+        capacity = counts - rng.integers(1, counts // 4)
+        self._check(bucket_calls, choices, capacity, priorities)
+
+    def test_capacity_equal_to_count_and_one_below(self, bucket_calls):
+        rng = np.random.default_rng(23)
+        n, k = 16, 10_000
+        choices = rng.integers(0, n, size=k)
+        counts = np.bincount(choices, minlength=n)
+        capacity = np.where(np.arange(n) % 2 == 0, counts, counts - 1)
+        self._check(bucket_calls, choices, capacity, rng.random(k))
+
+    def test_capacity_one(self, bucket_calls):
+        rng = np.random.default_rng(24)
+        n, k = 8, 8192
+        choices = rng.integers(0, n, size=k)
+        capacity = np.ones(n, dtype=np.int64)
+        self._check(bucket_calls, choices, capacity, rng.random(k))
+
+    def test_one_hot_bin_among_empty_ones(self, bucket_calls):
+        rng = np.random.default_rng(25)
+        n, k = 1000, 40_000
+        choices = np.full(k, 417, dtype=np.int64)
+        capacity = rng.integers(0, 50, size=n)
+        capacity[417] = 12_345
+        self._check(bucket_calls, choices, capacity, rng.random(k))
+
+    def test_int32_choices_under_narrow_policy(self, bucket_calls):
+        from repro.fastpath.buffers import DtypePolicy
+
+        rng = np.random.default_rng(26)
+        n, k = 64, 50_000
+        policy = DtypePolicy.narrow(k, n)
+        choices = rng.integers(0, n, size=k).astype(policy.index_dtype)
+        assert choices.dtype == np.int32
+        capacity = _contended_capacity(rng, choices, n).astype(
+            policy.load_dtype
+        )
+        self._check(bucket_calls, choices, capacity, rng.random(k))
+
+    def test_out_of_range_priority_skips_the_buckets(self, bucket_calls):
+        # The bucket index only covers [0, 1): one priority at 1.0
+        # routes the whole call through the exact fallbacks.
+        rng = np.random.default_rng(27)
+        n, k = 8, 8192
+        choices = rng.integers(0, n, size=k)
+        capacity = _contended_capacity(rng, choices, n)
+        priorities = rng.random(k)
+        priorities[17] = 1.0
+        assert _expected_buckets(choices, capacity) >= 8
+        ref = REFERENCE.grouped_accept_with_priorities(
+            choices, capacity, priorities
+        )
+        fus = FUSED.grouped_accept_with_priorities(
+            choices, capacity, priorities
+        )
+        np.testing.assert_array_equal(ref, fus)
+        assert bucket_calls == []
+
+    @settings(
+        deadline=None,
+        max_examples=12,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    @given(
+        seed=st.integers(0, 2**31),
+        k=st.integers(2_000, 200_000),
+        per_bin=st.integers(16, 512),
+        skew=st.floats(0.0, 1.5),
+        quantize=st.booleans(),
+        narrow=st.booleans(),
+    )
+    def test_sweep_matches_reference(
+        self, bucket_calls, seed, k, per_bin, skew, quantize, narrow
+    ):
+        n = max(1, k // per_bin)
+        choices, _, priorities = _instance(seed, k, n, 0, skew, False)
+        if quantize:
+            # Duplicate mass that stays inside [0, 1).
+            priorities = np.floor(priorities * 100) / 100
+        rng = np.random.default_rng(seed + 1)
+        capacity = _contended_capacity(rng, choices, n)
+        # Some bins full, some at zero capacity.
+        capacity[rng.random(n) < 0.1] = 0
+        full = rng.random(n) < 0.1
+        capacity[full] = np.bincount(choices, minlength=n)[full]
+        if narrow:
+            choices = choices.astype(np.int32)
+            capacity = capacity.astype(np.int32)
+        bucket_calls.clear()
+        ref = REFERENCE.grouped_accept_with_priorities(
+            choices, capacity, priorities
+        )
+        fus = FUSED.grouped_accept_with_priorities(
+            choices, capacity, priorities
+        )
+        np.testing.assert_array_equal(ref, fus)
+        buckets = _expected_buckets(choices, capacity)
+        assert bucket_calls == ([buckets] if buckets else [])
+
+    def test_heavy_first_round_ranks_only_boundary_buckets(
+        self, monkeypatch
+    ):
+        # The equivalence tests would all still pass if grouping fell
+        # back to ranking every contended request; this pins the work
+        # bucket selection saves on heavy's first round, where each
+        # of the m balls sends one request.
+        ranked = []
+        original = FusedBackend._packed_bin_priority_order
+
+        def spy(bins, priorities):
+            ranked.append(bins.size)
+            return original(bins, priorities)
+
+        monkeypatch.setattr(
+            FusedBackend, "_packed_bin_priority_order", staticmethod(spy)
+        )
+        m = 10**5
+        repro.allocate("heavy", m, 256, mode="perball", seed=0,
+                       backend="fused")
+        assert ranked and ranked[0] < 0.05 * m
 
 
 class TestCommitPrimitive:
