@@ -671,8 +671,9 @@ def _serve(args: argparse.Namespace) -> None:
 
 def _bench_replication(args: argparse.Namespace) -> None:
     from repro.api.bench import (
+        REPLICATION_COLUMNS,
         benchmark_replication,
-        render_replication_table,
+        render,
     )
 
     algorithms = (
@@ -693,17 +694,17 @@ def _bench_replication(args: argparse.Namespace) -> None:
         )
     except ValueError as exc:
         raise SystemExit(f"python -m repro bench: error: {exc}")
-    print(render_replication_table(records))
+    print(render(records, REPLICATION_COLUMNS))
     if args.json_path:
         import json
 
         with open(args.json_path, "w") as fh:
-            json.dump([r.to_dict() for r in records], fh, indent=2)
+            json.dump(records, fh, indent=2)
         print(f"wrote {len(records)} records to {args.json_path}")
 
 
 def _bench(args: argparse.Namespace) -> None:
-    from repro.api.bench import benchmark_registry, render_table
+    from repro.api.bench import ALLOCATE_COLUMNS, benchmark_registry, render
 
     if args.trials is not None:
         _bench_replication(args)
@@ -728,12 +729,12 @@ def _bench(args: argparse.Namespace) -> None:
         )
     except ValueError as exc:  # e.g. unknown --algorithms entry
         raise SystemExit(f"python -m repro bench: error: {exc}")
-    print(render_table(records))
+    print(render(records, ALLOCATE_COLUMNS))
     if args.json_path:
         import json
 
         with open(args.json_path, "w") as fh:
-            json.dump([r.to_dict() for r in records], fh, indent=2)
+            json.dump(records, fh, indent=2)
         print(f"wrote {len(records)} records to {args.json_path}")
 
 

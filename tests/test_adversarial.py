@@ -20,6 +20,8 @@ Covers the PR-9 surface:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -34,11 +36,7 @@ from repro import (
     run_dynamic_many,
     simulate_service,
 )
-from repro.api.bench import (
-    adversarial_degradation,
-    benchmark_adversarial,
-    render_adversarial_table,
-)
+from repro.api.bench import ADVERSARIAL_COLUMNS, benchmark_adversarial, render
 from repro.dynamic.faults import FaultState, place_with_loss
 from repro.dynamic.runner import _attack_workload
 from repro.dynamic.state import ResidentState
@@ -765,8 +763,12 @@ class TestBenchmarkAdversarial:
             algorithms=("heavy", "single"),
         )
         assert len(records) == 4
-        assert {r.regime for r in records} == {"benign", "adversarial"}
-        degraded = adversarial_degradation(records)
+        assert {r["regime"] for r in records} == {"benign", "adversarial"}
+        degraded = {
+            r["algorithm"]: r["degradation"]
+            for r in records
+            if r["regime"] == "adversarial"
+        }
         assert set(degraded) == {"heavy", "single"}
         assert all(v > 0 for v in degraded.values())
 
@@ -781,9 +783,9 @@ class TestBenchmarkAdversarial:
             1_000, 16, epochs=2, churn=0.2, seed=1, algorithms=("heavy",),
             fault_model=FAULTY,
         )
-        payload = records[0].to_dict()
+        payload = json.loads(json.dumps(records[0]))
         assert payload["algorithm"] == "heavy"
         assert "gap_worst" in payload
-        table = render_adversarial_table(records)
+        table = render(records, ADVERSARIAL_COLUMNS)
         assert "degrade" in table
         assert "adversarial" in table

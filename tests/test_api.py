@@ -476,9 +476,9 @@ class TestCliBench:
         import repro
 
         records = benchmark_registry(4000, 16, seeds=(42,), algorithms=("single",))
-        perball = next(r for r in records if r.mode == "perball")
+        perball = next(r for r in records if r["mode"] == "perball")
         direct = repro.allocate("single", 4000, 16, seed=42, mode="perball")
-        assert perball.max_load == direct.max_load
+        assert perball["max_load"] == direct.max_load
 
     def test_bench_json_output(self, tmp_path, capsys):
         import json
@@ -500,19 +500,19 @@ class TestCliBench:
         records = benchmark_registry(
             2000, 16, seeds=(0, 1), algorithms=("heavy",)
         )
-        modes = {r.mode for r in records}
+        modes = {r["mode"] for r in records}
         assert modes == {"perball", "aggregate"}
         for r in records:
-            assert r.seeds == 2
-            assert r.m == 2000 and r.n == 16
-            assert r.balls_per_sec > 0
+            assert r["seeds"] == 2
+            assert r["m"] == 2000 and r["n"] == 16
+            assert r["balls_per_sec"] > 0
 
     def test_benchmark_engine_reference(self):
-        from repro.api import benchmark_engine_reference
+        from repro.api.bench import benchmark_allocate
 
-        rec = benchmark_engine_reference(500, 8, seeds=(0,))
-        assert rec.mode == "engine"
-        assert rec.seconds_mean > 0
+        rec = benchmark_allocate("heavy", "engine", 500, 8, (0,))
+        assert rec["mode"] == "engine"
+        assert rec["seconds_mean"] > 0
 
 
 class TestCapabilityNotes:

@@ -668,12 +668,12 @@ class TestKernelMicrobench:
     """The kernel_profile microbenchmark: timings carry a proof."""
 
     def test_records_cover_every_primitive(self):
-        from repro.api.bench import benchmark_kernels, render_kernel_table
+        from repro.api.bench import KERNEL_COLUMNS, benchmark_kernels, render
 
         records = benchmark_kernels(
             4_000, 32, seed=0, repeats=1, end_to_end_m=2_000
         )
-        kernels = {(r.kernel, r.variant) for r in records}
+        kernels = {(r["kernel"], r["variant"]) for r in records}
         assert kernels == {
             ("grouped_accept", "contended"),
             ("grouped_accept", "uncontended"),
@@ -682,17 +682,17 @@ class TestKernelMicrobench:
             ("end_to_end", "heavy perball"),
         }
         for r in records:
-            assert r.bitwise_equal
-            assert r.reference_seconds >= 0 and r.fused_seconds >= 0
-            assert r.speedup > 0
-        table = render_kernel_table(records)
+            assert r["bitwise_equal"]
+            assert r["reference_seconds"] >= 0 and r["fused_seconds"] >= 0
+            assert r["speedup"] > 0
+        table = render(records, KERNEL_COLUMNS)
         assert "grouped_accept" in table and "speedup" in table
 
     def test_end_to_end_leg_is_optional(self):
         from repro.api.bench import benchmark_kernels
 
         records = benchmark_kernels(2_000, 16, seed=1, repeats=1)
-        assert not any(r.kernel == "end_to_end" for r in records)
+        assert not any(r["kernel"] == "end_to_end" for r in records)
 
     def test_mismatch_raises_instead_of_recording(self, monkeypatch):
         from repro.api.bench import benchmark_kernels

@@ -700,21 +700,20 @@ class TestCli:
 
 class TestBenchmarkDynamic:
     def test_records_and_speedups(self):
-        from repro.api.bench import (
-            benchmark_dynamic,
-            dynamic_speedups,
-            render_dynamic_table,
-        )
+        from repro.api.bench import DYNAMIC_COLUMNS, benchmark_dynamic, render
 
         records = benchmark_dynamic(
             2000, 16, epochs=3, churn=0.2, algorithms=("heavy",)
         )
-        assert {r.rebalance for r in records} == {
+        assert {r["rebalance"] for r in records} == {
             "incremental", "full_rerun"
         }
-        ratios = dynamic_speedups(records)
-        assert ratios["heavy"]["messages"] > 1.0
-        table = render_dynamic_table(records)
+        incremental = next(
+            r for r in records
+            if r["algorithm"] == "heavy" and r["rebalance"] == "incremental"
+        )
+        assert incremental["message_speedup"] > 1.0
+        table = render(records, DYNAMIC_COLUMNS)
         assert "incremental" in table and "full_rerun" in table
 
     def test_non_capable_algorithm_rejected(self):

@@ -291,11 +291,12 @@ class TestBenchmarkReplication:
         )
         assert len(records) == 1
         r = records[0]
-        assert r.algorithm == "single" and r.trials == 4
-        assert r.batched_seconds > 0
-        assert r.sequential_seconds is not None and r.speedup is not None
-        assert r.gap_p99 >= r.gap_mean - 1e-9 or r.gap_p99 >= 0
-        payload = r.to_dict()
+        assert r["algorithm"] == "single" and r["trials"] == 4
+        assert r["batched_seconds"] > 0
+        assert r["sequential_seconds"] is not None
+        assert r["speedup"] is not None
+        assert r["gap_p99"] >= r["gap_mean"] - 1e-9 or r["gap_p99"] >= 0
+        payload = json.loads(json.dumps(r))
         assert payload["m"] == 2000 and "speedup" in payload
 
     def test_skip_sequential(self):
@@ -305,8 +306,8 @@ class TestBenchmarkReplication:
             2000, 16, trials=2, seed=0, algorithms=("heavy",),
             include_sequential=False,
         )
-        assert records[0].sequential_seconds is None
-        assert records[0].speedup is None
+        assert records[0]["sequential_seconds"] is None
+        assert records[0]["speedup"] is None
 
     def test_defaults_to_all_trial_batched_specs(self):
         from repro.api import benchmark_replication, list_allocators
@@ -315,16 +316,16 @@ class TestBenchmarkReplication:
             2000, 16, trials=2, seed=0, include_sequential=False
         )
         expected = {s.name for s in list_allocators() if s.trial_batched}
-        assert {r.algorithm for r in records} == expected
+        assert {r["algorithm"] for r in records} == expected
 
     def test_render_table(self):
         from repro.api import benchmark_replication
-        from repro.api.bench import render_replication_table
+        from repro.api.bench import REPLICATION_COLUMNS, render
 
         records = benchmark_replication(
             2000, 16, trials=2, seed=0, algorithms=("single", "trivial"),
         )
-        table = render_replication_table(records)
+        table = render(records, REPLICATION_COLUMNS)
         assert "speedup" in table and "single" in table and "trivial" in table
 
 

@@ -361,12 +361,25 @@ def test_service_shared_arena_matches_run_dynamic():
 # ---------------------------------------------------------------------------
 
 
-def test_peak_rss_bytes_positive_and_monotone():
-    from repro.api.bench import peak_rss_bytes
+def test_peak_rss_is_per_leg():
+    # A small leg after a 200 MB one reports its own peak: neither the
+    # process's lifetime high-water mark nor the freed heap the big
+    # leg left mapped (its survivors pin a page every 64 blocks).
+    from repro.api.bench import leg_peak_rss
 
-    first = peak_rss_bytes()
-    assert first > 0
-    assert peak_rss_bytes() >= first
+    peak = leg_peak_rss()
+    blocks = [bytes(1024) for _ in range(200_000)]
+    survivors = blocks[::64]
+    del blocks
+    big_peak = peak()
+    if big_peak is None:
+        pytest.skip("the kernel refuses the peak-RSS reset")
+    peak = leg_peak_rss()
+    small = np.ones(1_000)
+    small_peak = peak()
+    del small, survivors
+    assert 0 < small_peak < big_peak
+    assert big_peak - small_peak > 100 * 2**20
 
 
 def test_instance_for_scale_notes():
@@ -385,13 +398,15 @@ def test_instance_for_scale_notes():
 
 
 def test_bench_records_carry_rss_and_notes():
-    from repro.api.bench import benchmark_registry, render_table
+    from repro.api.bench import ALLOCATE_COLUMNS, benchmark_registry, render
 
     records = benchmark_registry(
         4_000, 32, seeds=(0,), algorithms=("heavy", "light")
     )
-    assert all(r.peak_rss_bytes and r.peak_rss_bytes > 0 for r in records)
-    light = [r for r in records if r.algorithm == "light"]
-    assert light and light[0].scale_note and light[0].n == 2_000
-    table = render_table(records)
+    assert all(
+        r["peak_rss_bytes"] and r["peak_rss_bytes"] > 0 for r in records
+    )
+    light = [r for r in records if r["algorithm"] == "light"]
+    assert light and light[0]["scale_note"] and light[0]["n"] == 2_000
+    table = render(records, ALLOCATE_COLUMNS)
     assert "peak rss" in table and "* light:" in table

@@ -658,10 +658,7 @@ class TestSimulateService:
 
 class TestServiceBenchmark:
     def test_records_and_table(self):
-        from repro.api.bench import (
-            benchmark_service,
-            render_service_table,
-        )
+        from repro.api.bench import SERVICE_COLUMNS, benchmark_service, render
 
         records = benchmark_service(
             2000, 16, epochs=3, churn=0.2, algorithms=("heavy",),
@@ -669,12 +666,13 @@ class TestServiceBenchmark:
         )
         assert len(records) == 1
         r = records[0]
-        assert r.algorithm == "heavy"
-        assert r.ops_per_sec > 0
-        assert r.complete
-        assert r.latency_p50 <= r.latency_p95 <= r.latency_p99
-        assert "ops/s" in render_service_table(records)
-        assert r.to_dict()["batches"] == r.batches
+        assert r["algorithm"] == "heavy"
+        assert r["ops_per_sec_busy"] > 0
+        assert 0 < r["ops_per_sec_wall"] <= r["ops_per_sec_busy"]
+        assert r["complete"]
+        assert r["latency_p50"] <= r["latency_p95"] <= r["latency_p99"]
+        assert "ops/s" in render(records, SERVICE_COLUMNS)
+        assert json.loads(json.dumps(r))["batches"] == r["batches"]
 
     def test_non_capable_algorithm_rejected(self):
         from repro.api.bench import benchmark_service

@@ -579,15 +579,13 @@ class TestServiceStatsExtensions:
         assert stats.queue_depth_hwm == 0
 
     def test_rendered_in_service_table(self):
-        from repro.api.bench import benchmark_service, render_service_table
+        from repro.api.bench import SERVICE_COLUMNS, benchmark_service, render
 
-        records = benchmark_service(
-            2_000, 64, epochs=3, algorithms=["heavy"], seed=0
-        )
-        table = render_service_table(records)
+        records = benchmark_service(2_000, 64, epochs=3, algorithms=["heavy"])
+        table = render(records, SERVICE_COLUMNS)
         assert "q-hwm" in table and "fl-p99" in table
-        assert records[0].queue_depth_hwm > 0
-        assert records[0].flush_p50 <= records[0].flush_p99
+        assert records[0]["queue_depth_hwm"] > 0
+        assert records[0]["flush_p50"] <= records[0]["flush_p99"]
 
 
 # -- telemetry benchmark harness ----------------------------------------
@@ -596,23 +594,24 @@ class TestServiceStatsExtensions:
 class TestBenchmarkTelemetry:
     def test_records_and_roundtrip(self):
         from repro.api.bench import (
+            TELEMETRY_COLUMNS,
             benchmark_telemetry,
-            render_telemetry_table,
+            render,
         )
 
         records = benchmark_telemetry(
-            5_000, 64, seed=0, repeats=1, dynamic=(2_000, 32, 2),
+            5_000, 64, repeats=1, dynamic=(2_000, 32, 2),
             service=(2_000, 32, 2),
         )
-        assert [r.scenario for r in records] == [
+        assert [r["scenario"] for r in records] == [
             "allocate",
             "dynamic",
             "service",
         ]
         for r in records:
-            assert r.bitwise_equal and r.span_roundtrip
-            assert r.trace_events > 0 and r.metric_series > 0
-        table = render_telemetry_table(records)
+            assert r["bitwise_equal"] and r["span_roundtrip"]
+            assert r["trace_events"] > 0 and r["metric_series"] > 0
+        table = render(records, TELEMETRY_COLUMNS)
         assert "overhead" in table and "allocate" in table
 
 

@@ -360,11 +360,11 @@ class TestWorkloadBench:
             4000, 16, seeds=(0,), workload="zipf:1.1"
         )
         assert records, "workload bench produced no records"
-        names = {r.algorithm for r in records}
+        names = {r["algorithm"] for r in records}
         assert "greedy" not in names and "batched" not in names
         assert {"heavy", "single"} <= names
-        assert all(r.workload == "zipf:1.1" for r in records)
-        assert all(r.mode != "engine" for r in records)
+        assert all(r["workload"] == "zipf:1.1" for r in records)
+        assert all(r["mode"] != "engine" for r in records)
 
     def test_bench_explicit_non_capable_selection_errors(self):
         from repro.api import benchmark_registry
@@ -401,57 +401,47 @@ class TestWorkloadBench:
         from pathlib import Path
 
         repo = Path(__file__).resolve().parent.parent
-        out_k = tmp_path / "k.json"
-        out_w = tmp_path / "w.json"
-        out_r = tmp_path / "r.json"
-        out_d = tmp_path / "d.json"
-        out_s = tmp_path / "s.json"
-        out_a = tmp_path / "a.json"
-        out_t = tmp_path / "t.json"
         proc = subprocess.run(
             [
                 sys.executable,
                 str(repo / "benchmarks" / "run_benchmarks.py"),
                 "--scale", "smoke",
-                # Every artifact flag redirected: the runner's default
-                # paths are the checked-in full-scale artifacts at the
-                # repo root, which a test must never clobber with a
-                # smoke payload (regression: PR 4's replication
-                # artifact was silently overwritten this way).
-                "--output", str(out_k),
-                "--workloads-output", str(out_w),
-                "--replication-output", str(out_r),
-                "--dynamic-output", str(out_d),
-                "--service-output", str(out_s),
-                "--adversarial-output", str(out_a),
-                "--telemetry-output", str(out_t),
+                # The checked-in full-scale artifacts at the repo root
+                # must never be clobbered by a smoke payload.
+                "--out", str(tmp_path),
             ],
             capture_output=True,
             text=True,
             timeout=600,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        kernels = json.loads(out_k.read_text())
-        scaling = kernels["scaling"]
-        assert scaling["schema"] == 1
-        curve = scaling["workers_curve"]
-        assert [r["workers"] for r in curve["records"]] == [1, 2, 4, 8]
-        assert all(r["value_identical"] for r in curve["records"])
-        assert scaling["chunked_perball"]["equivalent_to_unchunked"] is True
-        assert scaling["chunked_perball"]["peak_rss_bytes"] > 0
-        payload = json.loads(out_w.read_text())
-        assert payload["workload"] == "zipf:1.1+geomw:0.5+propcap"
-        agreement = payload["perball_vs_aggregate"]
-        assert {"heavy", "single", "stemann"} <= set(agreement)
-        for stats in agreement.values():
-            assert stats["aggregate_speedup"] is None or (
-                stats["aggregate_speedup"] > 0
-            )
-        dynamic = json.loads(out_d.read_text())
-        assert dynamic["headline"] == "heavy"
-        assert dynamic["headline_message_speedup"] > 1.0
+
+        def artifact(case):
+            payload = json.loads((tmp_path / f"BENCH_{case}.json").read_text())
+            assert payload["schema"] == 2 and payload["case"] == case
+            assert payload["scale"] == "smoke"
+            return payload
+
+        kernels = artifact("kernels")["records"]
+        curve = [r for r in kernels if r["leg"] == "workers"]
+        assert [r["workers"] for r in curve] == [1, 2, 4, 8]
+        assert all(r["value_identical"] for r in curve)
+        (chunked,) = [r for r in kernels if r["leg"] == "chunked"]
+        assert chunked["equivalent_to_unchunked"] is True
+        assert chunked["peak_rss_bytes"] > 0
+        rows = artifact("workloads")["records"]
+        assert {r["workload"] for r in rows} == {"zipf:1.1+geomw:0.5+propcap"}
+        modes = {(r["algorithm"], r["mode"]) for r in rows}
+        for algo in ("heavy", "single", "stemann"):
+            assert {(algo, "perball"), (algo, "aggregate")} <= modes
+        assert all(r["seconds_mean"] > 0 for r in rows)
+        dynamic = artifact("dynamic")
+        (message_bar,) = [
+            b for b in dynamic["bars"] if b["name"].endswith("messages")
+        ]
+        assert "heavy" in message_bar["name"] and message_bar["value"] > 1.0
         assert {r["rebalance"] for r in dynamic["records"]} == {
             "incremental", "full_rerun"
         }
-        assert json.loads(out_a.read_text())["scale"] == "smoke"
-        assert json.loads(out_t.read_text())["scale"] == "smoke"
+        artifact("adversarial")
+        artifact("telemetry")
