@@ -9,8 +9,9 @@ feasible ``m``), and ``TestKernelVsEngine`` pins the headline claim:
 the kernel backends beat the object-level agent engine by far more than
 the required 5x at ``m = 10^6``.
 
-Run ``python benchmarks/run_benchmarks.py`` for the pinned-seed JSON
-trajectory (``BENCH_kernels.json``).
+``python benchmarks/run_benchmarks.py --scale full --out .`` writes the
+pinned-seed JSON trajectory (``BENCH_kernels.json``); without ``--out``
+the runner only prints its tables and bars.
 """
 
 from __future__ import annotations

@@ -3,13 +3,15 @@
 Where :mod:`repro.dynamic` runs churn as a closed-loop epoch script,
 this subsystem runs it as a **server**: a long-lived
 :class:`AllocatorService` ingests ``place``/``release`` events through
-a bounded queue, micro-batches them by count/age watermarks, and
-flushes each batch onto the incremental-rebalance path — one dynamic
-epoch per batch, seeds spawned in ``run_dynamic`` order so a
-count-matched stream reproduces ``run_dynamic`` bitwise, epoch for
-epoch.  An admission policy (:class:`AdmissionPolicy`) guards the
-queue: accept, defer (micro-batches widen while the gap SLO or
-per-epoch message budget is threatened), or shed.
+a bounded columnar queue (:class:`EventQueue`: counts, timestamps and
+kinds, so an event costs a few list appends rather than an object),
+micro-batches them by count/age watermarks, and flushes each batch
+onto the incremental-rebalance path — one dynamic epoch per batch,
+seeds spawned in ``run_dynamic`` order so a count-matched stream
+reproduces ``run_dynamic`` bitwise, epoch for epoch.  An admission
+policy (:class:`AdmissionPolicy`) guards the queue: accept, defer
+(micro-batches widen while the gap SLO or per-epoch message budget is
+threatened), or shed.
 
 Entry points: :class:`AllocatorService` (programmatic, sync or via
 :func:`serve_queue` asyncio ingest), :func:`simulate_service` /
@@ -30,11 +32,7 @@ from repro.service.admission import (
 from repro.service.driver import ServiceReport, simulate_service
 from repro.service.events import (
     Clock,
-    Event,
     EventQueue,
-    Place,
-    Query,
-    Release,
     SimulatedClock,
     WallClock,
 )
@@ -54,12 +52,8 @@ __all__ = [
     "AllocatorService",
     "BatchRecord",
     "Clock",
-    "Event",
     "EventQueue",
     "GapSloController",
-    "Place",
-    "Query",
-    "Release",
     "ServiceReport",
     "ServiceStats",
     "SimulatedClock",

@@ -1,22 +1,23 @@
-"""Ingest layer of the allocator service: events, clock, bounded queue.
+"""Ingest layer of the allocator service: clock and bounded queue.
 
-The service speaks three event kinds:
+The service queues two kinds of event:
 
-* :class:`Place` — ``count`` new balls ask to enter the system;
-* :class:`Release` — ``count`` resident balls leave.  Releases are
+* ``place`` — ``count`` new balls ask to enter the system;
+* ``release`` — ``count`` resident balls leave.  Releases are
   *anonymous*: the dynamic engine tracks residents at bin
   granularity (:class:`~repro.dynamic.state.ResidentState`), so which
   balls leave is decided by the service's departure policy when the
-  batch flushes, exactly as in :func:`repro.run_dynamic`;
-* :class:`Query` — a read-only stats request; never queued, never
-  draws randomness, never forces an epoch.
+  batch flushes, exactly as in :func:`repro.run_dynamic`.
 
-Pending ``Place``/``Release`` events accumulate in an
-:class:`EventQueue` — bounded in *balls*, not event objects, so a
-single ``Place(count=10_000)`` burst and ten thousand unit events
-exert the same backpressure.  The queue knows nothing about
-processing; the service flushes it onto the incremental-rebalance
-path when a **watermark** trips:
+Queries (:meth:`~repro.service.AllocatorService.query`) are read-only
+and never queue.  An event is not an object: the :class:`EventQueue`
+keeps pending events as three columns — counts, timestamps and kinds
+— and hands a flush its batch as columns, so queueing one costs a few
+list appends.  The queue is bounded in *balls*, not events, so a
+single 10,000-ball ``place`` burst and ten thousand unit places exert
+the same backpressure.  The queue knows nothing about processing; the
+service flushes it onto the incremental-rebalance path when a
+**watermark** trips:
 
 * **count watermark** — pending balls reach the micro-batch size;
 * **age watermark** — the oldest pending event has waited longer than
@@ -31,59 +32,14 @@ bitwise from the root seed (the guarantee the service tests pin).
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = [
     "Clock",
-    "Event",
     "EventQueue",
-    "Place",
-    "Query",
-    "Release",
     "SimulatedClock",
     "WallClock",
 ]
-
-
-@dataclass(frozen=True)
-class Event:
-    """One timestamped ingest event.
-
-    ``at`` is the submission time on the service's clock; latency of
-    every ball the event carries is measured from it.
-    """
-
-    count: int
-    at: float
-
-    kind: str = field(init=False, default="event")
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"event count must be >= 1, got {self.count}")
-
-
-@dataclass(frozen=True)
-class Place(Event):
-    """``count`` new balls arriving."""
-
-    kind: str = field(init=False, default="place")
-
-
-@dataclass(frozen=True)
-class Release(Event):
-    """``count`` resident balls departing (policy-sampled at flush)."""
-
-    kind: str = field(init=False, default="release")
-
-
-@dataclass(frozen=True)
-class Query(Event):
-    """A read-only stats request (count is the conventional 1)."""
-
-    kind: str = field(init=False, default="query")
 
 
 class Clock:
@@ -96,8 +52,9 @@ class Clock:
 class WallClock(Clock):
     """Monotonic wall time (``time.perf_counter``) for live service."""
 
-    def now(self) -> float:
-        return time.perf_counter()
+    # Bound straight to the C function: the service reads the clock once
+    # per submitted event.
+    now = staticmethod(time.perf_counter)
 
 
 class SimulatedClock(Clock):
@@ -129,7 +86,7 @@ class SimulatedClock(Clock):
 
 
 class EventQueue:
-    """Bounded FIFO of pending ``Place``/``Release`` events.
+    """Bounded FIFO of pending ``place``/``release`` events, in columns.
 
     Capacity is measured in balls (the sum of event counts): the
     backpressure signal the admission policy reads.  ``take(limit)``
@@ -143,7 +100,9 @@ class EventQueue:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._events: deque[Event] = deque()
+        self._counts: list[int] = []
+        self._ats: list[float] = []
+        self._kinds: list[str] = []
         self._pending = 0
         self._pending_places = 0
         self._pending_releases = 0
@@ -153,10 +112,7 @@ class EventQueue:
         self.high_water = 0
 
     def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        return len(self._counts)
 
     @property
     def pending(self) -> int:
@@ -176,61 +132,75 @@ class EventQueue:
         """Queue fullness in [0, 1] — the admission policy's signal."""
         return self._pending / self.capacity
 
-    def fits(self, event: Event) -> bool:
-        """True when the event's balls fit under the capacity."""
-        return self._pending + event.count <= self.capacity
+    def push(self, kind: str, count: int, at: float) -> None:
+        """Enqueue ``count`` balls of ``kind`` submitted at ``at``.
 
-    def push(self, event: Event) -> None:
-        """Enqueue; raises ``OverflowError`` when a **place** would
-        exceed capacity (the admission policy sheds before this
-        triggers).  **Releases spill past the bound**: a departure
-        strictly reduces load, and shedding one would leak its balls'
-        occupancy forever — the resident population would permanently
-        exceed what the outside world believes is in the system.  The
-        capacity is a backpressure bound on *work admitted*, not on
-        bookkeeping that shrinks the system."""
-        if event.kind != "release" and not self.fits(event):
-            raise OverflowError(
-                f"queue over capacity: {self._pending} pending + "
-                f"{event.count} > {self.capacity}"
-            )
-        self._events.append(event)
-        self._pending += event.count
+        Raises ``TypeError`` for a kind other than ``place``/``release``
+        and ``OverflowError`` when a **place** would exceed capacity (the
+        admission policy sheds before this triggers).  **Releases spill
+        past the bound**: a departure strictly reduces load, and
+        shedding one would leak its balls' occupancy forever — the
+        resident population would permanently exceed what the outside
+        world believes is in the system.  The capacity is a backpressure
+        bound on *work admitted*, not on bookkeeping that shrinks the
+        system."""
+        if kind == "place":
+            if self._pending + count > self.capacity:
+                raise OverflowError(
+                    f"queue over capacity: {self._pending} pending + "
+                    f"{count} > {self.capacity}"
+                )
+            self._pending_places += count
+        elif kind == "release":
+            self._pending_releases += count
+        else:
+            raise TypeError(f"only place/release events queue, got {kind!r}")
+        self._counts.append(count)
+        self._ats.append(at)
+        self._kinds.append(kind)
+        self._pending += count
         if self._pending > self.high_water:
             self.high_water = self._pending
-        if event.kind == "place":
-            self._pending_places += event.count
-        elif event.kind == "release":
-            self._pending_releases += event.count
-        else:
-            raise TypeError(
-                f"only place/release events queue, got {event.kind!r}"
-            )
 
     def oldest_age(self, now: float) -> float:
         """Seconds the head event has waited (0.0 when empty)."""
-        if not self._events:
+        if not self._ats:
             return 0.0
-        return now - self._events[0].at
+        return now - self._ats[0]
 
-    def take(self, limit: Optional[int] = None) -> list[Event]:
+    def take(
+        self, limit: Optional[int] = None
+    ) -> tuple[list[int], list[float], int, int]:
         """Pop a FIFO prefix of up to ``limit`` balls (all, when None).
 
-        Always pops at least one event when non-empty, so a single
-        event larger than ``limit`` still drains rather than wedging
-        the queue.
+        Returns ``(counts, ats, places, releases)``: the prefix's event
+        counts and submission times, in arrival order, and its place
+        and release ball totals.  Always pops at least one event when
+        non-empty, so a single event larger than ``limit`` still drains
+        rather than wedging the queue.  When everything pending fits,
+        the columns are handed over without copying.
         """
-        batch: list[Event] = []
-        taken = 0
-        while self._events:
-            head = self._events[0]
-            if batch and limit is not None and taken + head.count > limit:
+        counts, ats = self._counts, self._ats
+        if limit is None or self._pending <= limit:
+            taken = (counts, ats, self._pending_places, self._pending_releases)
+            self._counts, self._ats, self._kinds = [], [], []
+            self._pending = self._pending_places = self._pending_releases = 0
+            return taken
+        cut = balls = 0
+        for count in counts:
+            if cut and balls + count > limit:
                 break
-            batch.append(self._events.popleft())
-            taken += head.count
-            self._pending -= head.count
-            if head.kind == "place":
-                self._pending_places -= head.count
-            else:
-                self._pending_releases -= head.count
+            balls += count
+            cut += 1
+        places = sum(
+            count
+            for count, kind in zip(counts[:cut], self._kinds[:cut])
+            if kind == "place"
+        )
+        releases = balls - places
+        batch = (counts[:cut], ats[:cut], places, releases)
+        del counts[:cut], ats[:cut], self._kinds[:cut]
+        self._pending -= balls
+        self._pending_places -= places
+        self._pending_releases -= releases
         return batch

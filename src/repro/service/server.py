@@ -56,15 +56,10 @@ from repro.service.admission import (
     AdmissionPolicy,
     GapSloController,
 )
-from repro.service.events import (
-    EventQueue,
-    Place,
-    Release,
-    SimulatedClock,
-    WallClock,
-)
+from repro.service.events import EventQueue, SimulatedClock, WallClock
 from repro.telemetry import current_telemetry
 from repro.utils.seeding import RngFactory, as_seed_sequence
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "AllocatorService",
@@ -298,8 +293,8 @@ class AllocatorService:
         #: Audit log of public mutating calls: (op, count, at) tuples.
         self.trace: list[tuple[str, int, float]] = []
         self._start = self.clock.now()
-        #: (latency, ball_count) pairs of every processed event.
-        self._latencies: list[tuple[float, int]] = []
+        #: Per flush, the (latencies, ball counts) arrays of its events.
+        self._latencies: list[tuple[np.ndarray, np.ndarray]] = []
         self._accepted = 0
         self._deferred = 0
         self._shed = 0
@@ -332,19 +327,19 @@ class AllocatorService:
         pop = int(loads.sum())
         return float(loads.max(initial=0) - pop / self.n) if pop else 0.0
 
-    def _record_op(self, op: str, count: int, at: float) -> None:
+    def _record_op(self, op: str, count: int, at: float, tele) -> None:
         """The one audit-log recording path: every public mutating call
         lands here, appending the historical ``(op, count, at)`` tuple
         (``at = -1.0`` is the no-timestamp sentinel for clock-free ops)
-        and mirroring the op into the telemetry event model when a sink
-        is installed.  The tuple log — the :func:`replay_trace` input —
-        is bitwise-unchanged by the mirror.  Per-op *instant* trace
-        events are emitted for batch-level ops only (tick/flush/drain):
-        place/release arrive per submission on the ingest hot path, so
-        they mirror as an aggregated counter, not one span event each.
+        and mirroring the op into ``tele``, the caller's ambient
+        telemetry sink, when one is installed.  The tuple log — the
+        :func:`replay_trace` input — is bitwise-unchanged by the mirror.
+        Per-op *instant* trace events are emitted for batch-level ops
+        only (tick/flush/drain): place/release arrive per submission on
+        the ingest hot path, so they mirror as an aggregated counter,
+        not one span event each.
         """
         self.trace.append((op, count, at))
-        tele = current_telemetry()
         if tele is not None:
             self._hot_counter(tele, "service.ops", "op", op).inc()
             if op not in ("place", "release"):
@@ -365,10 +360,14 @@ class AllocatorService:
         return counter
 
     def _submit(self, kind: str, count: int) -> str:
+        if type(count) is not int or count < 1:
+            # Rejected before the trace, admission, telemetry or the
+            # queue see it; a plain positive int skips the helper.
+            count = check_positive_int(count, "count")
         now = self.clock.now()
-        self._record_op(kind, count, now)
-        decision = self.controller.decide(kind, count, self.queue)
         tele = current_telemetry()
+        self._record_op(kind, count, now, tele)
+        decision = self.controller.decide(kind, count, self.queue)
         if tele is not None:
             self._hot_counter(
                 tele, "service.admission", "decision", decision
@@ -376,13 +375,10 @@ class AllocatorService:
         if decision == SHED:
             self._shed += count
             return SHED
-        event = (
-            Place(count, now) if kind == "place" else Release(count, now)
-        )
         # No per-submit depth gauge: the queue maintains its high-water
         # mark unconditionally and the flush hook gauges depth — one
         # fewer telemetry call on the ingest hot path.
-        self.queue.push(event)
+        self.queue.push(kind, count, now)
         self._accepted += count
         if decision == DEFER:
             self._deferred += count
@@ -395,11 +391,14 @@ class AllocatorService:
 
     def place(self, count: int = 1) -> str:
         """Submit ``count`` arriving balls; returns the admission
-        decision (``accept``/``defer``/``shed``)."""
+        decision (``accept``/``defer``/``shed``).  ``count`` must be a
+        positive integer: anything else raises (``TypeError`` /
+        ``ValueError``) and leaves the service untouched."""
         return self._submit("place", count)
 
     def release(self, count: int = 1) -> str:
-        """Submit ``count`` departures (policy-sampled at flush)."""
+        """Submit ``count`` departures (policy-sampled at flush);
+        ``count`` is validated as in :meth:`place`."""
         return self._submit("release", count)
 
     def query(self) -> dict:
@@ -420,7 +419,9 @@ class AllocatorService:
         must not run backward).  An idle tick — empty queue — is a
         strict no-op: no flush, no RNG draw, no seed spawn, no record.
         """
-        self._record_op("tick", 0, now if now is not None else -1.0)
+        self._record_op(
+            "tick", 0, now if now is not None else -1.0, current_telemetry()
+        )
         if now is not None and isinstance(self.clock, SimulatedClock):
             self.clock.advance_to(now)
         if (
@@ -444,19 +445,19 @@ class AllocatorService:
         cohort placed against the residual loads with the placement
         child — both spawned from the root seed at flush time.
         """
+        tele = current_telemetry()
         if _record_trace:
-            self._record_op("flush", int(all_pending), -1.0)
-        events = self.queue.take(None if all_pending else self.batch_limit)
-        if not events:
+            self._record_op("flush", int(all_pending), -1.0, tele)
+        counts, ats, places, releases = self.queue.take(
+            None if all_pending else self.batch_limit
+        )
+        if not counts:
             return None
         now = self.clock.now()
-        places = sum(e.count for e in events if e.kind == "place")
-        releases = sum(e.count for e in events if e.kind == "release")
         ctrl_seed, place_seed = self._root.spawn(2)
         # Creating the factory draws nothing; streams are pulled only
         # when a draw is actually needed (bitwise-stable benign path).
         ctrl = RngFactory(ctrl_seed)
-        tele = current_telemetry()
         start = time.perf_counter()
         lost_acks = 0
         if self.fault is not None:
@@ -544,10 +545,12 @@ class AllocatorService:
         self._processed_places += places
         self._processed_releases += released
         self._unplaced += unplaced
-        lats = [(now - e.at, e.count) for e in events]
-        self._latencies.extend(lats)
-        total = sum(c for _, c in lats)
-        lat_mean = sum(l * c for l, c in lats) / total if total else 0.0
+        lats = now - np.array(ats)
+        weights = np.array(counts)
+        self._latencies.append((lats, weights))
+        # A left-to-right builtin sum, not numpy's pairwise one: the mean
+        # stays bitwise-equal to summing event by event.
+        lat_mean = sum((lats * weights).tolist()) / (places + releases)
         loads = self.residents._loads
         population = int(loads.sum())
         max_load = int(loads.max(initial=0))
@@ -556,7 +559,7 @@ class AllocatorService:
         record = BatchRecord(
             batch=len(self.records),
             t=now,
-            events=len(events),
+            events=len(counts),
             places=places,
             releases=releases,
             released=released,
@@ -571,7 +574,7 @@ class AllocatorService:
             queue_after=self.queue.pending,
             widen=self.controller.widen,
             latency_mean=lat_mean,
-            latency_max=max((l for l, _ in lats), default=0.0),
+            latency_max=float(lats.max()),
             seconds=elapsed,
             failed_bins=(
                 self.fault.failed_count if self.fault is not None else 0
@@ -592,7 +595,7 @@ class AllocatorService:
                 start,
                 cat="service",
                 batch=record.batch,
-                events=len(events),
+                events=len(counts),
                 places=places,
                 releases=releases,
                 gap=gap,
@@ -604,7 +607,7 @@ class AllocatorService:
         chunks — the same batch boundaries eager processing would have
         produced, so a deferred burst drains to bitwise-identical
         state (pinned by test)."""
-        self._record_op("drain", 0, -1.0)
+        self._record_op("drain", 0, -1.0, current_telemetry())
         out = []
         while self.queue.pending:
             record = self.flush(_record_trace=False)
@@ -627,8 +630,8 @@ class AllocatorService:
             flush_lat = {"p50": 0.0, "p95": 0.0, "p99": 0.0}
         if self._latencies:
             values = np.repeat(
-                np.array([l for l, _ in self._latencies]),
-                np.array([c for _, c in self._latencies]),
+                np.concatenate([lats for lats, _ in self._latencies]),
+                np.concatenate([counts for _, counts in self._latencies]),
             )
             lat = percentiles(values)
             lat_mean = float(values.mean())

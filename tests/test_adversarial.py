@@ -41,7 +41,7 @@ from repro.dynamic.faults import FaultState, place_with_loss
 from repro.dynamic.runner import _attack_workload
 from repro.dynamic.state import ResidentState
 from repro.fastpath.backend import BACKEND_ENV_VAR
-from repro.service.events import EventQueue, Place, Release, SimulatedClock
+from repro.service.events import EventQueue, SimulatedClock
 from repro.workloads import Workload, WorkloadError
 
 DYNAMIC_CAPABLE = ("heavy", "combined", "single", "stemann")
@@ -706,10 +706,10 @@ class TestReleaseSpillFix:
 
     def test_queue_release_spills_place_overflows(self):
         q = EventQueue(10)
-        q.push(Place(count=10, at=0.0))
+        q.push("place", 10, 0.0)
         with pytest.raises(OverflowError):
-            q.push(Place(count=1, at=0.0))
-        q.push(Release(count=5, at=0.0))
+            q.push("place", 1, 0.0)
+        q.push("release", 5, 0.0)
         assert q.pending == 15
         assert q.pending_releases == 5
 

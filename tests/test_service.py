@@ -9,10 +9,16 @@ departure draws all agree exactly.
 
 import asyncio
 import json
+import sys
+import zlib
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import Telemetry, use_telemetry
 from repro.dynamic import DynamicSpec, run_dynamic
 from repro.service import (
     ACCEPT,
@@ -22,9 +28,6 @@ from repro.service import (
     AllocatorService,
     EventQueue,
     GapSloController,
-    Place,
-    Query,
-    Release,
     SimulatedClock,
     WallClock,
     replay_trace,
@@ -40,19 +43,17 @@ from repro.service import (
 
 class TestEvents:
     def test_kinds(self):
-        assert Place(3, 0.0).kind == "place"
-        assert Release(2, 1.0).kind == "release"
-        assert Query(1, 2.0).kind == "query"
+        q = EventQueue(10)
+        q.push("place", 3, 0.0)
+        q.push("release", 2, 1.0)
+        assert (q.pending_places, q.pending_releases) == (3, 2)
 
     def test_count_validated(self):
+        svc = AllocatorService("heavy", 16, seed=1, clock=SimulatedClock())
         with pytest.raises(ValueError, match="count"):
-            Place(0, 0.0)
+            svc.place(0)
         with pytest.raises(ValueError, match="count"):
-            Release(-1, 0.0)
-
-    def test_frozen(self):
-        with pytest.raises(Exception):
-            Place(1, 0.0).count = 2
+            svc.release(-1)
 
 
 class TestClocks:
@@ -78,19 +79,19 @@ class TestClocks:
 class TestEventQueue:
     def test_capacity_in_balls(self):
         q = EventQueue(10)
-        q.push(Place(6, 0.0))
+        q.push("place", 6, 0.0)
         assert q.pending == 6 and q.pending_places == 6
-        assert q.fits(Release(4, 0.0)) and not q.fits(Place(5, 0.0))
         with pytest.raises(OverflowError, match="capacity"):
-            q.push(Place(5, 0.0))
-        q.push(Release(4, 0.0))
+            q.push("place", 5, 0.0)
+        q.push("release", 4, 0.0)
         assert q.pending == 10 and q.pending_releases == 4
         assert q.depth == 1.0
 
     def test_query_events_never_queue(self):
         q = EventQueue(10)
         with pytest.raises(TypeError, match="place/release"):
-            q.push(Query(1, 0.0))
+            q.push("query", 1, 0.0)
+        assert len(q) == 0 and q.pending == q.high_water == 0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -99,25 +100,60 @@ class TestEventQueue:
     def test_take_fifo_prefix(self):
         q = EventQueue(100)
         for i in range(5):
-            q.push(Place(2, float(i)))
-        batch = q.take(5)
+            q.push("place" if i % 2 else "release", 2, float(i))
+        counts, ats, places, releases = q.take(5)
         # 2 + 2 fit under 5; the third event would exceed it.
-        assert [e.at for e in batch] == [0.0, 1.0]
-        assert q.pending == 6
-        assert q.take(None) and q.pending == 0
+        assert ats == [0.0, 1.0]
+        assert (counts, places, releases) == ([2, 2], 2, 2)
+        assert q.pending == 6 and len(q) == 3
+        assert (q.pending_places, q.pending_releases) == (2, 4)
+        assert q.take(None)[0] and q.pending == 0
 
     def test_take_oversized_event_still_drains(self):
         q = EventQueue(100)
-        q.push(Place(50, 0.0))
-        batch = q.take(10)
-        assert len(batch) == 1 and batch[0].count == 50
+        q.push("place", 50, 0.0)
+        counts, _, places, _ = q.take(10)
+        assert counts == [50] and places == 50
         assert q.pending == 0
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from(["place", "release"]), st.integers(1, 9)),
+        st.none() | st.integers(0, 20),
+    ), max_size=60))
+    def test_take_matches_fifo_reference(self, ops):
+        # The event-by-event rule as the reference: pop whole events
+        # while they fit under ``limit``, and always at least one.
+        q, ref = EventQueue(10**6), deque()
+        for i, op in enumerate(ops):
+            if isinstance(op, tuple):
+                q.push(op[0], op[1], float(i))
+                ref.append((*op, float(i)))
+                continue
+            batch = []
+            while ref and not (
+                batch and op is not None
+                and sum(e[1] for e in batch) + ref[0][1] > op
+            ):
+                batch.append(ref.popleft())
+            counts, ats, places, releases = q.take(op)
+            assert counts == [e[1] for e in batch]
+            assert ats == [e[2] for e in batch]
+            assert places == sum(e[1] for e in batch if e[0] == "place")
+            assert releases == sum(e[1] for e in batch if e[0] == "release")
+            assert len(q) == len(ref)
+            assert q.pending_places == sum(
+                e[1] for e in ref if e[0] == "place"
+            )
+            assert q.pending_releases == sum(
+                e[1] for e in ref if e[0] == "release"
+            )
 
     def test_oldest_age(self):
         q = EventQueue(10)
         assert q.oldest_age(5.0) == 0.0
-        q.push(Place(1, 2.0))
-        q.push(Place(1, 4.0))
+        q.push("place", 1, 2.0)
+        q.push("place", 1, 4.0)
         assert q.oldest_age(5.0) == 3.0
 
 
@@ -152,7 +188,7 @@ class TestGapSloController:
     def _queue(self, capacity=100, pending=0):
         q = EventQueue(capacity)
         if pending:
-            q.push(Place(pending, 0.0))
+            q.push("place", pending, 0.0)
         return q
 
     def test_overflow_sheds_places_only(self):
@@ -492,6 +528,87 @@ class TestServiceEdgeCases:
         assert svc.stats().deferred == 10
 
 
+class TestCountValidation:
+    """A bad ``count`` raises before the trace, admission, telemetry or
+    the queue see the op, whatever admission would have decided."""
+
+    @staticmethod
+    def _service(decision):
+        svc = AllocatorService(
+            "heavy", 16, seed=5, clock=SimulatedClock(), max_batch=10**9,
+            max_queue=100, auto_flush=False,
+            policy=AdmissionPolicy(gap_slo=0.01, shed_headroom=0.0)
+            if decision == SHED else None,
+        )
+        if decision == SHED:
+            svc.place(81)
+            svc.flush()  # the gap is now past the emergency line
+        elif decision == DEFER:
+            svc.place(60)  # the queue is past defer_depth
+        assert svc.controller.decide("place", 1, svc.queue) == decision
+        return svc
+
+    @staticmethod
+    def _snapshot(svc, tele):
+        return (
+            list(svc.trace),
+            svc.stats().to_dict(),
+            svc.queue.pending,
+            [(m.name, m.labels, m.value) for m in tele.metrics
+             if hasattr(m, "value")],
+        )
+
+    @pytest.mark.parametrize("decision", [ACCEPT, DEFER, SHED])
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True])
+    def test_bad_count_leaves_service_untouched(self, decision, count):
+        tele = Telemetry()
+        with use_telemetry(tele):
+            svc = self._service(decision)
+            before = self._snapshot(svc, tele)
+            for submit in (svc.place, svc.release):
+                with pytest.raises((TypeError, ValueError), match="count"):
+                    submit(count)
+            assert self._snapshot(svc, tele) == before
+
+    def test_stream_with_rejected_call_replays_bitwise(self):
+        clock = SimulatedClock()
+        svc = AllocatorService(
+            "heavy", 16, seed=11, max_batch=64, clock=clock
+        )
+        svc.place(200)
+        clock.advance(0.5)
+        svc.release(3)
+        with pytest.raises(ValueError, match="count"):
+            svc.release(0)
+        with pytest.raises(TypeError, match="count"):
+            svc.place(2.5)
+        svc.place(3)
+        svc.drain()
+        replay = replay_trace(svc.trace, "heavy", 16, seed=11, max_batch=64)
+        assert replay.trace == svc.trace
+        assert np.array_equal(replay.residents.loads, svc.residents.loads)
+        assert [r.messages for r in replay.records] == [
+            r.messages for r in svc.records
+        ]
+
+    def test_flush_after_rejected_call_places_every_valid_ball(self):
+        svc = AllocatorService(
+            "heavy", 16, seed=5, clock=SimulatedClock(), max_batch=10**9
+        )
+        svc.place(40)
+        svc.flush()
+        svc.release(5)
+        svc.place(7)
+        with pytest.raises(TypeError, match="count"):
+            svc.place(2.5)
+        svc.place(np.int64(3))
+        assert svc.trace[-1][:2] == ("place", 3)
+        assert type(svc.trace[-1][1]) is int
+        record = svc.flush()
+        assert (record.places, record.placed, record.released) == (10, 10, 5)
+        assert svc.population == 45
+
+
 class TestReplayDeterminism:
     def _drive(self):
         clock = SimulatedClock()
@@ -533,7 +650,7 @@ class TestReplayDeterminism:
                 replay.residents.loads, original.residents.loads
             )
             assert comparable(replay) == comparable(original)
-            assert replay._latencies == original._latencies
+            assert _event_latencies(replay) == _event_latencies(original)
             assert replay.trace == original.trace
 
     def test_replay_rejects_caller_clock(self):
@@ -543,6 +660,129 @@ class TestReplayDeterminism:
     def test_replay_rejects_corrupt_trace(self):
         with pytest.raises(ValueError, match="unknown trace op"):
             replay_trace([("warp", 1, 0.0)], "heavy", 16, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# stream pin: every deterministic output of one mixed stream, as literals
+# ---------------------------------------------------------------------------
+
+
+def _pinned_stream(auto_flush):
+    """One simulated-clock stream covering the ingest paths: a bulk fill,
+    unit release/place pairs, count-watermark flushes (a partial take
+    when the watermark trips on a prefix), ticks on both sides of the
+    age watermark, overflow and gap sheds, defers, explicit flushes and
+    a release clamped to the population.  With ``auto_flush=False`` each
+    ``drain()`` takes several ``batch_limit`` chunks."""
+    clock = SimulatedClock()
+    svc = AllocatorService(
+        "heavy", 16, seed=29, max_batch=64, max_wait=0.75, max_queue=1024,
+        clock=clock, auto_flush=auto_flush,
+        policy=AdmissionPolicy(gap_slo=1.5, shed_headroom=0.5),
+    )
+    svc.place(500)
+    for _ in range(40):
+        clock.advance(0.013)
+        svc.release(1)
+        clock.advance(0.007)
+        svc.place(1)
+    for _ in range(3):
+        clock.advance(0.1)
+        svc.place(30)
+    svc.tick(clock.now() + 0.3)
+    svc.tick(clock.now() + 1.1)
+    svc.place(2000)
+    for i in range(60):
+        clock.advance(0.011)
+        svc.place(3)
+        if i % 3 == 0:
+            svc.release(2)
+    svc.flush()
+    clock.advance(0.25)
+    svc.flush(all_pending=True)
+    for i in range(50):
+        clock.advance(0.017)
+        svc.place(1 + i % 4)
+    clock.advance(0.3)
+    svc.release(5000)
+    svc.tick(clock.now() + 0.2)
+    svc.drain()
+    for _ in range(20):
+        clock.advance(0.009)
+        svc.place(7)
+    svc.drain()
+    return svc
+
+
+def _crc(obj) -> int:
+    # json writes every float as its shortest round-trip repr, so equal
+    # crc32s mean bitwise-equal values.
+    return zlib.crc32(json.dumps(obj, sort_keys=True, default=int).encode())
+
+
+def _event_latencies(svc):
+    """``(latency, count)`` of every processed event, in flush order."""
+    return [
+        pair
+        for lats, counts in svc._latencies
+        for pair in zip(lats.tolist(), counts.tolist())
+    ]
+
+
+class TestStreamPin:
+    """Records (all but the wall-time ``seconds``), ``stats()`` (all but
+    its wall-time fields), the per-event latencies, the audit trace and
+    the final loads of ``_pinned_stream`` are pinned as crc32 literals.
+
+    ``latency_mean`` of a record is the left-to-right builtin ``sum`` of
+    ``latency * count`` over its events, divided by its balls.  Python
+    3.12 made ``sum`` of floats compensated, so its literal is pinned
+    below 3.12 only; on every version it must equal that loop, run here
+    over the pinned latencies.  numpy's pairwise ``.sum()`` differs from
+    it in the last bits on this stream."""
+
+    PIN = {
+        True: {
+            "records": 2008085939, "latency_mean": 3266239952,
+            "latencies": 3314464824, "stats": 975998998,
+            "trace": 1819248855, "loads": 4212156321,
+        },
+        False: {
+            "records": 2297349932, "latency_mean": 1217489649,
+            "latencies": 659861142, "stats": 1374947404,
+            "trace": 1819248855, "loads": 612136220,
+        },
+    }
+    WALL_STATS = ("busy_seconds", "ops_per_sec", "flush_latency")
+
+    @pytest.mark.parametrize("auto_flush", [True, False])
+    def test_stream_outputs_pinned(self, auto_flush):
+        svc = _pinned_stream(auto_flush)
+        pin = self.PIN[auto_flush]
+        records = [
+            {k: v for k, v in r.to_dict().items() if k != "seconds"}
+            for r in svc.records
+        ]
+        means = [r.pop("latency_mean") for r in records]
+        stats = {
+            k: v for k, v in svc.stats().to_dict().items()
+            if k not in self.WALL_STATS
+        }
+        latencies = _event_latencies(svc)
+        assert _crc(records) == pin["records"]
+        assert _crc(latencies) == pin["latencies"]
+        assert _crc(stats) == pin["stats"]
+        assert _crc(svc.trace) == pin["trace"]
+        assert _crc(svc.residents.loads.tolist()) == pin["loads"]
+        if sys.version_info < (3, 12):
+            assert _crc(means) == pin["latency_mean"]
+        start = 0
+        for record, mean in zip(svc.records, means):
+            events = latencies[start:start + record.events]
+            start += record.events
+            balls = sum(c for _, c in events)
+            assert mean == sum(l * c for l, c in events) / balls
+        assert start == len(latencies)
 
 
 class TestServeQueue:
