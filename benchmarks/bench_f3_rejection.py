@@ -1,7 +1,8 @@
 """Benchmark + table regeneration for experiment F3 (rejection).
 
-See DESIGN.md §4 for the experiment's claim and parameters; the quick-
-scale table is printed under -s, the full-scale run is archived in
+See the experiment registry (``python -m repro.experiments`` with no
+argument) for the experiment's claim and parameters; the quick-scale
+table is printed under -s, the full-scale run is archived in
 EXPERIMENTS.md.
 """
 

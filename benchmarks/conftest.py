@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Each experiment benchmark (one file per DESIGN.md §4 row) does two
-things:
+Each experiment benchmark (one file per ``repro.experiments.registry``
+entry) does two things:
 
 1. times the underlying computation with pytest-benchmark, and
 2. regenerates the experiment's table (quick scale), logging it under

@@ -3,10 +3,11 @@
 
 The paper's model is reliable; real clusters are not.  This example
 exercises the repository's fault-injection extension
-(:func:`repro.run_heavy_faulty`, see DESIGN.md §4 experiment A4):
-balls (jobs) crash mid-protocol and messages are lost, including the
-nasty case of a *lost accept* — the server reserves a slot for a job
-that never hears about it ("ghost" capacity).
+(:func:`repro.run_heavy_faulty`, see experiment A4 in
+:mod:`repro.experiments.registry`): balls (jobs) crash mid-protocol
+and messages are lost, including the nasty case of a *lost accept* —
+the server reserves a slot for a job that never hears about it
+("ghost" capacity).
 
 The sweep below shows the degradation curve: the oblivious threshold
 schedule keeps absorbing retries (thresholds depend only on the round

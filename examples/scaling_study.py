@@ -2,8 +2,9 @@
 """Scaling study: rounds and gap as m/n grows from 2^2 to 2^40.
 
 Uses the ``O(n)``-per-round aggregate execution path (exact in
-distribution — see DESIGN.md §5) to push ``m`` far beyond what per-ball
-simulation could hold in memory: a trillion balls runs in milliseconds.
+distribution — see docs/performance.md) to push ``m`` far beyond what
+per-ball simulation could hold in memory: a trillion balls runs in
+milliseconds.
 
 Prints the doubly-logarithmic round curve of Theorem 1 next to the
 prediction, and the flat O(1) gap curve next to the naive baseline's

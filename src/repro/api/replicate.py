@@ -13,7 +13,7 @@ at one run.  :func:`replicate` is that operation as a first-class API:
 True
 
 Execution: when the algorithm's spec carries the ``trial_batched``
-capability (heavy, combined, trivial, single, stemann), all trials
+capability (heavy, combined, single, stemann), all trials
 advance through the trial-batched kernel engine in lock-step — one
 vectorized pass instead of ``trials`` sequential runs, at identical
 values: trial ``t`` is bitwise-equal to a sequential run seeded with

@@ -29,7 +29,7 @@ from repro.core.heavy import (
     replicate_heavy,
     run_heavy,
 )
-from repro.core.trivial import replicate_trivial, run_trivial
+from repro.core.trivial import run_trivial
 from repro.dynamic.placement import DynamicPlacement
 from repro.result import AllocationResult
 from repro.utils.logstar import loglog2
@@ -112,16 +112,18 @@ def replicate_combined(
     """Run ``trials`` seeded replications of the combined algorithm.
 
     The Section 3 dispatch test depends only on ``(m, n)``, so every
-    trial takes the same branch: the batch delegates wholesale to the
-    trivial or heavy trial-batched engine.  Trial ``t`` is
+    trial takes the same branch: tiny ``n`` runs the deterministic
+    trivial algorithm once per seed, otherwise the batch delegates
+    wholesale to the heavy trial-batched engine.  Trial ``t`` is
     bitwise-identical to ``run_combined(m, n, seed=seed_seqs[t],
     mode="aggregate", ...)``.
     """
     m, n = ensure_m_n(m, n, require_heavy=True)
     if should_use_trivial(m, n):
-        results = replicate_trivial(
-            m, n, trials=trials, seed_seqs=seed_seqs, workload=workload
-        )
+        results = [
+            run_trivial(m, n, seed=seed, workload=workload)
+            for seed in seed_seqs
+        ]
         branch = "trivial"
     else:
         results = replicate_heavy(

@@ -22,20 +22,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.api.spec import register_allocator, register_replicator
+from repro.api.spec import register_allocator
 from repro.fastpath.roundstate import RoundState
-from repro.fastpath.sampling import grouped_accept_with_priorities
 from repro.result import AllocationResult
-from repro.simulation.metrics import RoundMetrics, RunMetrics
 from repro.utils.seeding import RngFactory
 from repro.utils.validation import ensure_m_n
 from repro.workloads import bind_workload
 
-__all__ = ["replicate_trivial", "run_trivial"]
-
-#: Trial-batched replication processes trials in chunks so the flat
-#: composite request array stays near this many elements (memory cap).
-_CHUNK_TARGET_ELEMENTS = 2_000_000
+__all__ = ["run_trivial"]
 
 
 @register_allocator(
@@ -120,155 +114,3 @@ def run_trivial(
         seed_entropy=factory.root_entropy,
         extra=extra,
     )
-
-
-@register_replicator("trivial", equivalent_mode=None)
-def replicate_trivial(
-    m: int,
-    n: int,
-    *,
-    trials: int,
-    seed_seqs,
-    threshold: Optional[int] = None,
-    workload=None,
-) -> list[AllocationResult]:
-    """Run ``trials`` seeded deterministic allocations in lock-step.
-
-    The contact rule is per-ball and deterministic, so trials batch in
-    a *composite bin space*: round ``r`` concatenates every live
-    trial's requests, offsets trial ``t``'s targets by ``t * n``, draws
-    each trial's accept priorities from its own stream (in trial
-    order), and resolves them all in one
-    :func:`~repro.fastpath.sampling.grouped_accept_with_priorities`
-    sort.  Trial ``t`` is bitwise-identical to ``run_trivial(m, n,
-    seed=seed_seqs[t], ...)``.  Trials are processed in chunks that cap
-    the flat array at ~2M elements, so memory stays bounded for large
-    ``m * trials``.
-    """
-    m, n = ensure_m_n(m, n)
-    if len(seed_seqs) != trials:
-        raise ValueError(f"need {trials} seed sequences, got {len(seed_seqs)}")
-    cap = threshold if threshold is not None else math.ceil(m / n)
-    chunk = max(1, _CHUNK_TARGET_ELEMENTS // max(m, 1))
-    results: list[AllocationResult] = []
-    for lo in range(0, trials, chunk):
-        results.extend(
-            _replicate_trivial_chunk(
-                m, n, seed_seqs[lo : lo + chunk], cap, workload
-            )
-        )
-    return results
-
-
-def _replicate_trivial_chunk(
-    m: int, n: int, seed_seqs, cap: int, workload
-) -> list[AllocationResult]:
-    count = len(seed_seqs)
-    factories = [RngFactory(s) for s in seed_seqs]
-    wls = [bind_workload(workload, m, n, f) for f in factories]
-    caps = wls[0].capacities(cap)
-    total_capacity = (
-        int(caps.sum()) if isinstance(caps, np.ndarray) else cap * n
-    )
-    if total_capacity < m:
-        raise ValueError(
-            f"threshold {cap} gives total capacity {total_capacity} < m={m}"
-        )
-    accept_rngs = [f.stream("trivial", "accept") for f in factories]
-    caps_row = (
-        caps.astype(np.int64)
-        if isinstance(caps, np.ndarray)
-        else np.full(n, cap, dtype=np.int64)
-    )
-
-    active = [np.arange(m, dtype=np.int64) for _ in range(count)]
-    loads = np.zeros((count, n), dtype=np.int64)
-    weighted = any(w.weights is not None for w in wls)
-    weighted_loads = (
-        np.zeros((count, n), dtype=np.float64) if weighted else None
-    )
-    messages = np.zeros(count, dtype=np.int64)
-    rounds = np.zeros(count, dtype=np.int64)
-    metrics = [RunMetrics(m, n) for _ in range(count)]
-
-    r = 0
-    while True:
-        live = [t for t in range(count) if active[t].size]
-        if not live:
-            break
-        if r >= n:  # impossible by the monotonicity argument
-            raise RuntimeError(
-                "trivial algorithm exceeded n rounds; invariant violated"
-            )
-        # Composite batch: trial t's deterministic targets, offset into
-        # block t of the composite bin space; accept priorities drawn
-        # per trial in trial order (each from its own stream, exactly
-        # the draw grouped_accept would have made for that trial alone).
-        targets = [(active[t] + r) % n for t in live]
-        prios = [accept_rngs[t].random(active[t].size) for t in live]
-        offsets = np.cumsum([0] + [tg.size for tg in targets])
-        composite = np.concatenate(
-            [tg + i * n for i, tg in enumerate(targets)]
-        )
-        capacity = np.maximum(
-            caps_row[None, :] - loads[live], 0
-        ).ravel()
-        mask = grouped_accept_with_priorities(
-            composite, capacity, np.concatenate(prios)
-        )
-        intake = np.bincount(
-            composite[mask], minlength=len(live) * n
-        ).reshape(len(live), n)
-        loads[live] += intake
-        for i, t in enumerate(live):
-            acc = mask[offsets[i] : offsets[i + 1]]
-            commits = int(acc.sum())
-            balls = active[t]
-            if weighted_loads is not None and commits:
-                np.add.at(
-                    weighted_loads[t],
-                    targets[i][acc],
-                    wls[t].weights[balls[acc]],
-                )
-            u = balls.size
-            messages[t] += u + commits
-            metrics[t].add_round(
-                RoundMetrics(
-                    round_no=r,
-                    unallocated_start=u,
-                    requests_sent=u,
-                    accepts_sent=commits,
-                    rejects_sent=0,
-                    commits=commits,
-                    unallocated_end=u - commits,
-                    max_load=int(loads[t].max(initial=0)),
-                    threshold=float(cap),
-                )
-            )
-            active[t] = balls[~acc]
-            rounds[t] = r + 1
-        r += 1
-
-    results = []
-    for t in range(count):
-        extra: dict = {"threshold": cap}
-        workload_record = wls[t].extra_record(
-            weighted_loads[t] if weighted_loads is not None else None,
-            inapplicable=(("choice",) if wls[t].pvals is not None else ()),
-        )
-        if workload_record is not None:
-            extra["workload"] = workload_record
-        results.append(
-            AllocationResult(
-                algorithm="trivial",
-                m=m,
-                n=n,
-                loads=loads[t],
-                rounds=int(rounds[t]),
-                metrics=metrics[t],
-                total_messages=int(messages[t]),
-                seed_entropy=factories[t].root_entropy,
-                extra=extra,
-            )
-        )
-    return results

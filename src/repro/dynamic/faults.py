@@ -158,7 +158,7 @@ def place_with_loss(
     initial: np.ndarray,
     place_seed,
     loss_prob: float,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     *,
     max_retries: int = 16,
 ) -> FaultyPlacement:
@@ -166,8 +166,9 @@ def place_with_loss(
 
     ``place_fn(count, initial_loads, seed)`` must return a
     :class:`~repro.dynamic.placement.DynamicPlacement`.  The first
-    attempt uses ``place_seed`` verbatim — with ``loss_prob`` drawing
-    zero losses the outcome is bitwise the lossless placement — and
+    attempt uses ``place_seed`` verbatim — with ``loss_prob = 0`` (when
+    ``rng`` is never drawn from and may be None), or a draw of zero
+    losses, the outcome is bitwise the lossless placement — and
     each retry round places the lost balls against the ghost-inflated
     loads with a fresh child spawned from ``place_seed`` (spawned only
     when a retry actually happens).  Lost balls still unacked after

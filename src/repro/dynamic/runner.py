@@ -35,32 +35,17 @@ fresh one-shot run exactly.
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
 
-from repro.api.spec import (
-    capability_note,
-    get_dynamic,
-    get_spec,
-    list_allocators,
-)
-from repro.core.faulty import FaultModel
-from repro.dynamic.faults import FaultState, place_with_loss
+from repro.dynamic.churn import ChurnOutcome, ChurnStep
 from repro.dynamic.spec import DynamicSpec
-from repro.dynamic.state import ResidentState
-from repro.fastpath.buffers import RoundBuffers
 from repro.telemetry import current_telemetry
 from repro.utils.seeding import RngFactory, as_seed_sequence
-from repro.workloads import (
-    Workload,
-    WorkloadError,
-    as_time_varying,
-    as_workload,
-)
+from repro.workloads import as_time_varying
 
 __all__ = ["DynamicResult", "EpochRecord", "run_dynamic", "run_dynamic_many"]
 
@@ -288,75 +273,6 @@ class DynamicResult:
         )
 
 
-def _resolve_entry(algorithm: str):
-    """The (spec, dynamic adapter) pair, or a clear capability error."""
-    spec = get_spec(algorithm)
-    entry = get_dynamic(spec.name)
-    if entry is None:
-        raise ValueError(
-            f"algorithm {spec.name!r} has no dynamic-placement adapter; "
-            + capability_note("dynamic_capable")
-        )
-    return spec, entry
-
-
-def _dynamic_workload_capable() -> list[str]:
-    """Allocators whose *dynamic adapter* accepts non-uniform workloads."""
-    return [
-        s.name
-        for s in list_allocators()
-        if s.dynamic_capable and get_dynamic(s.name).workload_capable
-    ]
-
-
-def _check_options(entry, algorithm: str, options: dict[str, Any]) -> None:
-    unknown = sorted(set(options) - set(entry.options))
-    if unknown:
-        valid = ", ".join(entry.options) or "(none)"
-        raise ValueError(
-            f"unknown dynamic option(s) "
-            f"{', '.join(repr(u) for u in unknown)} for algorithm "
-            f"{algorithm!r}; valid options: {valid}"
-        )
-
-
-def _resolve_workload(spec, entry, workload):
-    wl = as_workload(workload)
-    if wl is None:
-        return None
-    if not entry.workload_capable:
-        raise ValueError(
-            f"algorithm {spec.name!r} supports the uniform workload "
-            f"only in dynamic runs (got workload {wl.describe()!r}); "
-            + capability_note(
-                "workload_capable", _dynamic_workload_capable()
-            )
-        )
-    if wl.weight != "unit":
-        raise WorkloadError(
-            "dynamic runs support unit ball weights only: departures "
-            "remove specific resident balls, and aggregate-granularity "
-            "bookkeeping has no per-ball weight identity to remove "
-            f"(got workload {wl.describe()!r}); weighted workloads run "
-            "one-shot via repro.allocate(); "
-            + capability_note("workload_capable")
-        )
-    return wl
-
-
-def _attack_workload(loads: np.ndarray, hot_frac: float) -> Workload:
-    """The hotset adversary's contact distribution: the arriving
-    cohort's contacts land uniformly on the currently hottest
-    ``hot_frac`` fraction of bins (ties broken by bin index, so the
-    target set is deterministic in the loads)."""
-    n = loads.size
-    n_hot = max(1, min(n - 1, math.ceil(hot_frac * n))) if n > 1 else n
-    order = np.argsort(-loads, kind="stable")
-    p = np.zeros(n, dtype=np.float64)
-    p[order[:n_hot]] = 1.0 / n_hot
-    return Workload.explicit(p)
-
-
 def run_dynamic(
     algorithm: str,
     m: int,
@@ -434,16 +350,6 @@ def run_dynamic(
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    alloc_spec, entry = _resolve_entry(algorithm)
-    _check_options(entry, alloc_spec.name, options)
-    wl = _resolve_workload(alloc_spec, entry, workload)
-    if "buffers" in entry.options and "buffers" not in options:
-        # One scratch arena shared by every epoch's placement: the
-        # kernel steps reuse its buffers instead of reallocating each
-        # round.  Value-preserving (the adapter narrows/chunks without
-        # changing any draw), so this is unconditional.
-        options = dict(options)
-        options["buffers"] = RoundBuffers()
     if spec is None:
         spec = DynamicSpec(
             epochs=epochs,
@@ -456,15 +362,20 @@ def run_dynamic(
             hot_frac=hot_frac,
         )
     tv = as_time_varying(time_workload)
+    step = ChurnStep(
+        algorithm, n, options,
+        departures=spec.departures, hot_frac=spec.hot_frac,
+        workload=workload, fault_model=fault_model, backend=backend,
+        attack=spec.arrivals == "hotset_adversary",
+    )
+    wl = step.workload
     if tv is not None and wl is not None:
         raise ValueError(
             "workload and time_workload are mutually exclusive: a "
             "time-varying workload replaces the static cohort workload "
             "epoch by epoch"
         )
-    if spec.arrivals == "hotset_adversary" and (
-        wl is not None or tv is not None
-    ):
+    if step.attack and (wl is not None or tv is not None):
         raise ValueError(
             "hotset_adversary arrivals own the cohort contact "
             "distribution (aimed at the currently hottest bins every "
@@ -478,21 +389,6 @@ def run_dynamic(
             "which has no per-epoch quarantine/ghost semantics "
             f"(got rebalance={spec.rebalance!r})"
         )
-    fault = FaultState(n, fault_model) if fault_model is not None else None
-    degraded = (
-        spec.arrivals == "hotset_adversary"
-        or spec.departures == "greedy_adversary"
-        or (fault_model is not None and not fault_model.is_null)
-    )
-    if degraded and "drain_settle" in entry.options:
-        # Adversarially skewed residuals break the fresh-fill premise
-        # of the load-oblivious phase-2 handoff: let the settle phase
-        # drain the cohort below the population-average cap instead of
-        # handing a large straggler mass to A_light (graceful
-        # degradation; see dynamic_heavy).  Benign specs never reach
-        # here, so the default path stays bitwise-unchanged.
-        options = dict(options)
-        options.setdefault("drain_settle", True)
     # Telemetry: one sink captured for the whole run; every hook below
     # is a single ``is not None`` branch when off, and none of them
     # touches a seed or stream.
@@ -503,217 +399,111 @@ def run_dynamic(
     # placement child goes to the adapter verbatim, so an epoch's
     # placement can be reproduced by calling the adapter directly.
     children = root.spawn(2 * (spec.epochs + 1))
-    residents = ResidentState(n, spec.departures, hot_frac=spec.hot_frac)
+    residents = step.residents
     records: list[EpochRecord] = []
     history = np.zeros((spec.epochs + 1, n), dtype=np.int64)
 
-    def _place(cohort: int, initial: np.ndarray, place_seed, epoch_wl):
-        from repro.fastpath.backend import use_backend
-
-        kwargs = dict(options)
-        if entry.workload_capable and epoch_wl is not None:
-            kwargs["workload"] = epoch_wl
-        # Every epoch's placement runs on the pinned kernel backend
-        # (value-identical across backends; wall clock only).
-        with use_backend(backend):
-            return entry.runner(
-                cohort, n, initial_loads=initial, seed=place_seed, **kwargs
-            )
-
-    def _epoch_workload(epoch: int):
-        """The cohort workload for one epoch — static, time-varying,
-        or the hotset attack — quarantined around failed bins."""
-        if spec.arrivals == "hotset_adversary" and epoch > 0:
-            # The fill is unattacked (every bin is equally cold); the
-            # attack re-aims at the hottest bins each churn epoch,
-            # post-departure — the adaptive adversary.
-            epoch_wl = _attack_workload(residents.loads, spec.hot_frac)
-        elif tv is not None:
-            epoch_wl = tv.workload_at(epoch, spec.epochs, n)
-        else:
-            epoch_wl = wl
-        if fault is not None:
-            epoch_wl = fault.quarantined(epoch_wl, n)
-        return epoch_wl
-
-    def _execute(cohort: int, initial: np.ndarray, place_seed, ctrl):
-        """One cohort placement, with ack-loss retries when modeled.
-        Returns (per-bin acked counts, (placed, unplaced, rounds,
-        messages, lost_acks), seconds)."""
-        epoch_wl = _epoch_workload(len(records))
-        start = time.perf_counter()
-        if fault is not None and fault.model.loss_prob > 0:
-            out = place_with_loss(
-                lambda c, i, s: _place(c, i, s, epoch_wl),
-                cohort,
-                initial,
-                place_seed,
-                fault.model.loss_prob,
-                ctrl.stream("dynamic", "loss"),
-            )
-            fault.lost_acks += out.lost_acks
-            counts = out.cohort
-            stats = (
-                out.placed,
-                out.unplaced,
-                out.rounds,
-                out.messages,
-                out.lost_acks,
-            )
-        else:
-            placement = _place(cohort, initial, place_seed, epoch_wl)
-            counts = placement.loads.astype(np.int64) - initial
-            stats = (
-                placement.placed,
-                placement.unplaced,
-                placement.rounds,
-                placement.total_messages,
-                0,
-            )
-        elapsed = time.perf_counter() - start
-        if tele is not None:
-            tele.complete(
-                "placement",
-                start,
-                cat="dynamic",
-                epoch=len(records),
-                cohort=cohort,
-            )
-        return counts, stats, elapsed
-
-    def _record(
-        epoch: int,
-        arrived: int,
-        departed: int,
-        stats: tuple,
-        moved: int,
-        seconds: float,
-    ) -> None:
-        placed, unplaced, rounds, messages, lost = stats
-        current = residents.loads
-        population = int(current.sum())
-        max_load = int(current.max(initial=0))
-        if tele is not None:
-            gap = max_load - population / n if population else 0.0
-            failed = fault.failed_count if fault is not None else 0
-            tele.count("dynamic.epochs")
-            tele.count("dynamic.messages", messages)
-            tele.count("dynamic.moved", moved)
-            tele.observe("dynamic.epoch.gap", gap)
-            tele.observe("dynamic.epoch.messages", messages)
-            tele.observe("dynamic.epoch.moved", moved)
-            tele.gauge("dynamic.failed_bins", failed)
-            if lost:
-                tele.count("dynamic.lost_acks", lost)
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                arrivals=arrived,
-                departures=departed,
-                placed=placed,
-                unplaced=unplaced,
-                moved=moved,
-                rounds=rounds,
-                messages=messages,
-                population=population,
-                max_load=max_load,
-                gap=max_load - population / n if population else 0.0,
-                seconds=seconds,
-                failed_bins=fault.failed_count if fault is not None else 0,
-                lost_acks=lost,
-            )
-        )
-        history[epoch] = current
-
-    # -- epoch 0: the initial fill --------------------------------------
-    epoch_start = tele.begin() if tele is not None else 0.0
-    fill_ctrl = RngFactory(children[0])
-    if fault is not None:
-        fault.step(fill_ctrl.stream("dynamic", "faults"))
-    counts, stats, elapsed = _execute(
-        m, np.zeros(n, dtype=np.int64), children[1], fill_ctrl
-    )
-    residents.add_cohort(0, counts)
-    _record(0, m, 0, stats, stats[0], elapsed)
-    if tele is not None:
-        tele.complete("epoch", epoch_start, cat="dynamic", epoch=0, fill=True)
-
-    # -- churn epochs ---------------------------------------------------
-    for epoch in range(1, spec.epochs + 1):
-        if tele is not None:
-            epoch_start = tele.begin()
+    for epoch in range(spec.epochs + 1):
+        epoch_start = tele.begin() if tele is not None else 0.0
         ctrl = RngFactory(children[2 * epoch])
         place_seed = children[2 * epoch + 1]
-        if fault is not None:
-            # Fail/recover transitions at the epoch boundary, from the
-            # control child's own "faults" stream (independent of the
-            # arrival/departure streams by construction, so the benign
-            # draws are unperturbed).
-            fault.step(ctrl.stream("dynamic", "faults"))
-        if spec.arrivals == "poisson":
-            count = spec.arrival_count(
-                epoch, m, ctrl.stream("dynamic", "arrivals")
-            )
+        if epoch == 0:
+            # The initial fill: m balls into empty bins.
+            arrived, departed = m, 0
         else:
-            count = spec.arrival_count(epoch, m)
-        # Departures and arrivals are count-matched (the pinned-
-        # population contract), so a draw exceeding the population —
-        # possible only for Poisson arrivals near churn=1 — is clamped
-        # for both sides rather than ratcheting the population up.
-        count = min(count, residents.population)
-        if count == 0:
-            # A zero-churn epoch is a strict no-op: no departure draw,
-            # no placement, bitwise-stable loads.
-            _record(epoch, 0, 0, (0, 0, 0, 0, 0), 0, 0.0)
-            if tele is not None:
-                tele.complete(
-                    "epoch", epoch_start, cat="dynamic", epoch=epoch
-                )
-            continue
-        departing = count
-        residents.depart(departing, ctrl.stream("dynamic", "departures"))
-        base = residents.loads
-        if spec.rebalance == "incremental":
-            counts, stats, elapsed = _execute(count, base, place_seed, ctrl)
-            residents.add_cohort(epoch, counts)
-            moved = stats[0]
-        else:  # full_rerun: the oracle re-places the whole population
-            total = residents.population + count
-            epoch_wl = _epoch_workload(epoch)
+            poisson = spec.arrivals == "poisson"
+            rng = ctrl.stream("dynamic", "arrivals") if poisson else None
+            count = spec.arrival_count(epoch, m, rng)
+            # Departures and arrivals are count-matched (the pinned-
+            # population contract), so a draw exceeding the population
+            # — possible only for Poisson arrivals near churn=1 — is
+            # clamped for both sides rather than ratcheting the
+            # population up.  A zero-churn epoch only steps the faults:
+            # no departure draw, no placement, bitwise-stable loads.
+            arrived = departed = min(count, residents.population)
+        rerun = epoch > 0 and spec.rebalance == "full_rerun"
+        epoch_wl = (
+            tv.workload_at(epoch, spec.epochs, n)
+            if tv is not None and arrived
+            else None
+        )
+        out = step.run(
+            epoch, ctrl, place_seed, departed, 0 if rerun else arrived,
+            epoch_wl,
+        )
+        if rerun and arrived:
+            # full_rerun: the oracle re-places the whole population.
+            total = residents.population + arrived
+            epoch_wl = step.cohort_workload(epoch, epoch_wl)
             start = time.perf_counter()
-            placement = _place(
+            placement = step.place(
                 total, np.zeros(n, dtype=np.int64), place_seed, epoch_wl
             )
-            elapsed = time.perf_counter() - start
+            seconds = time.perf_counter() - start
             # The arriving cohort joins before the reshuffle so its
             # balls get bin positions (and, under fifo, ages) like
             # everyone else's; its pre-reshuffle bin composition is a
             # placeholder.
             placeholder = np.zeros(n, dtype=np.int64)
-            placeholder[0] = count
+            placeholder[0] = arrived
             residents.add_cohort(epoch, placeholder)
             residents.reshuffle(
                 placement.loads, ctrl.stream("dynamic", "reshuffle")
             )
-            moved = placement.placed
-            stats = (
-                placement.placed,
-                placement.unplaced,
-                placement.rounds,
-                placement.total_messages,
-                0,
+            out = ChurnOutcome(
+                placement.placed, placement.unplaced, placement.rounds,
+                placement.total_messages, 0, start, seconds,
             )
-        _record(epoch, count, departing, stats, moved, elapsed)
+        elif tele is not None and arrived:
+            tele.complete(
+                "placement", out.start, cat="dynamic", epoch=epoch,
+                cohort=arrived,
+            )
+        population, max_load, gap = residents.balance()
         if tele is not None:
-            tele.complete("epoch", epoch_start, cat="dynamic", epoch=epoch)
+            tele.count("dynamic.epochs")
+            tele.count("dynamic.messages", out.messages)
+            tele.count("dynamic.moved", out.placed)
+            tele.observe("dynamic.epoch.gap", gap)
+            tele.observe("dynamic.epoch.messages", out.messages)
+            tele.observe("dynamic.epoch.moved", out.placed)
+            tele.gauge("dynamic.failed_bins", step.failed_bins)
+            if out.lost_acks:
+                tele.count("dynamic.lost_acks", out.lost_acks)
+        # ``moved`` is what the rebalance strategy re-placed: the
+        # cohort under incremental, the population under full_rerun.
+        records.append(
+            EpochRecord(
+                epoch=epoch,
+                arrivals=arrived,
+                departures=departed,
+                placed=out.placed,
+                unplaced=out.unplaced,
+                moved=out.placed,
+                rounds=out.rounds,
+                messages=out.messages,
+                population=population,
+                max_load=max_load,
+                gap=gap,
+                seconds=out.seconds,
+                failed_bins=step.failed_bins,
+                lost_acks=out.lost_acks,
+            )
+        )
+        history[epoch] = residents.loads
+        if tele is not None:
+            tele.complete(
+                "epoch", epoch_start, cat="dynamic", epoch=epoch,
+                **({} if epoch else {"fill": True}),
+            )
 
-    extra: dict = {"options": sorted(options)}
-    if fault is not None:
-        extra["faults"] = fault.to_dict()
+    extra: dict = {"options": sorted(step.options)}
+    if step.fault is not None:
+        extra["faults"] = step.fault.to_dict()
     if tv is not None:
         extra["time_workload"] = tv.to_dict()
     return DynamicResult(
-        algorithm=alloc_spec.name,
+        algorithm=step.algorithm,
         m=m,
         n=n,
         spec=spec,

@@ -43,6 +43,7 @@ __all__ = [
     "DEPARTURE_KINDS",
     "REBALANCE_KINDS",
     "DynamicSpec",
+    "check_hot_frac",
 ]
 
 #: Accepted arrival-process kinds (``hotset_adversary`` is the
@@ -54,6 +55,16 @@ ARRIVAL_KINDS = ("fixed", "poisson", "bursty", "hotset_adversary")
 DEPARTURE_KINDS = ("uniform", "fifo", "hotset", "greedy_adversary")
 #: Accepted rebalance strategies.
 REBALANCE_KINDS = ("incremental", "full_rerun")
+
+
+def check_hot_frac(hot_frac: float) -> float:
+    """``hot_frac`` if it lies strictly in (0, 1), else ``ValueError``
+    (``nan`` included)."""
+    if not (0.0 < hot_frac < 1.0):
+        raise ValueError(
+            f"hot_frac must lie strictly in (0, 1), got {hot_frac}"
+        )
+    return hot_frac
 
 
 @dataclass(frozen=True)
@@ -133,10 +144,7 @@ class DynamicSpec:
             raise ValueError(
                 f"burst_factor must be >= 1, got {self.burst_factor}"
             )
-        if not (0.0 < self.hot_frac < 1.0):
-            raise ValueError(
-                f"hot_frac must lie strictly in (0, 1), got {self.hot_frac}"
-            )
+        check_hot_frac(self.hot_frac)
 
     def with_rebalance(self, rebalance: str) -> "DynamicSpec":
         """The same regime under another rebalance strategy (the

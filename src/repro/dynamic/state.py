@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.dynamic.spec import DEPARTURE_KINDS
+from repro.dynamic.spec import DEPARTURE_KINDS, check_hot_frac
 
 __all__ = ["ResidentState", "hypergeometric_method"]
 
@@ -89,7 +89,7 @@ class ResidentState:
             )
         self.n = n
         self.policy = policy
-        self.hot_frac = hot_frac
+        self.hot_frac = check_hot_frac(hot_frac)
         #: Oldest-first list of ``[epoch_id, (n,) counts]`` cohorts;
         #: empty unless the policy is ``fifo``.
         self.cohorts: list[list] = []
@@ -104,6 +104,14 @@ class ResidentState:
     def population(self) -> int:
         """Total resident balls."""
         return int(self._loads.sum())
+
+    def balance(self) -> tuple[int, int, float]:
+        """``(population, max_load, gap)``, where the gap is the max load
+        minus the mean (0 for an empty system)."""
+        population = int(self._loads.sum())
+        max_load = int(self._loads.max(initial=0))
+        gap = max_load - population / self.n if population else 0.0
+        return population, max_load, gap
 
     def add_cohort(self, epoch: int, counts: np.ndarray) -> None:
         """Admit one arrival cohort with the given per-bin placement."""

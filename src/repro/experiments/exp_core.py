@@ -1,7 +1,7 @@
 """Experiments T1-T3, F1-F2: the symmetric algorithm's guarantees.
 
-See DESIGN.md §4 for the experiment index.  Each function takes a
-``scale`` ("quick" for CI/benchmarks, "full" for the archived
+The experiment index is ``repro.experiments.registry``.  Each function
+takes a ``scale`` ("quick" for CI/benchmarks, "full" for the archived
 EXPERIMENTS.md run) and a base seed.
 """
 

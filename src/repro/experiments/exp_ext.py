@@ -3,8 +3,8 @@
 Both go beyond the paper's evaluation: A3 makes the conclusion's open
 question ("can we provide a faster symmetric algorithm?") executable
 within the lower-bound family, and A4 stress-tests the schedule's
-robustness outside the reliable model.  They are documented as
-extensions in DESIGN.md §4.
+robustness outside the reliable model.  ``repro.experiments.registry``
+lists them with the paper's experiments.
 """
 
 from __future__ import annotations

@@ -96,7 +96,8 @@ def exp_t4(scale: str = "quick", seed: int = 20190416) -> ExperimentReport:
     report.notes.append(
         "per-bin max messages exceeds (1+o(1))m/n + O(log n) by a "
         "moderate-regime factor ~log n/(m/n)^(1/3) = o(1): leaders absorb "
-        "the terminal round (see DESIGN.md on Claim 10's block-size gap)."
+        "the terminal round (see repro.core.asymmetric on Claim 10's "
+        "block-size premise)."
     )
     return report
 

@@ -7,10 +7,11 @@ load 2 using ``O(n)`` messages.  This subpackage provides:
 
 * :func:`repro.light.lw16.run_light` — a vectorized collision protocol
   meeting those guarantees empirically (the substitution is documented
-  in DESIGN.md §2): in round ``r`` each unallocated ball contacts
-  ``k_r`` uniformly random bins with a tower-growing schedule
-  ``k_1 = 1, k_{r+1} = 2^{k_r}``; bins accept up to their residual
-  capacity (2), balls commit to one acceptor and revoke the rest.
+  in that module and checked by experiment T7): in round ``r`` each
+  unallocated ball contacts ``k_r`` uniformly random bins with a
+  tower-growing schedule ``k_1 = 1, k_{r+1} = 2^{k_r}``; bins accept up
+  to their residual capacity (2), balls commit to one acceptor and
+  revoke the rest.
 * :class:`repro.light.virtual.VirtualBinMap` — the virtual-bin reduction
   used by ``A_heavy``'s phase 2: each real bin simulates ``g`` virtual
   bins, so a virtual max load of 2 becomes at most ``2 g`` extra real

@@ -4,24 +4,24 @@
 *server*: instead of a closed-loop epoch script
 (:func:`repro.run_dynamic`), arrivals and departures stream in through
 ``place()``/``release()``, pool in a bounded :class:`EventQueue`, and
-flush as **micro-batches** onto the incremental-rebalance path — one
-adapter call per batch against the residents' loads
-(``RoundState(initial_loads=...)``), exactly one epoch's worth of
-work.
+flush as **micro-batches**.  A flush runs the churn step a
+``run_dynamic`` epoch runs (:class:`~repro.dynamic.churn.ChurnStep`:
+fault step, departures, then the cohort placed against the residents'
+loads), with the batch's releases departing and its places arriving.
 
 Seed contract (the bitwise bridge to :func:`repro.run_dynamic`): the
 root seed spawns **two SeedSequence children per flushed micro-batch**
-— a control child for the departure draw and a placement child handed
-verbatim to the adapter — in submission order.  ``SeedSequence.spawn``
-numbers children incrementally, so batch ``b`` receives exactly the
-children ``run_dynamic`` gives epoch ``b``.  Hence when a driver feeds
-the service one count-matched cohort per batch (the
-:func:`~repro.service.driver.simulate_service` arrangement), **every
-micro-batch is bitwise-identical to the corresponding ``run_dynamic``
-epoch on the same root seed** — loads, messages, rounds, departure
-draws, everything (pinned by ``tests/test_service.py``).  An idle tick
-flushes nothing, draws nothing, and spawns nothing: a service that
-sits idle overnight replays exactly like one that never idled.
+— the step's control child and its placement child — in submission
+order.  ``SeedSequence.spawn`` numbers children incrementally, so
+batch ``b`` receives exactly the children ``run_dynamic`` gives epoch
+``b``.  Hence when a driver feeds the service one count-matched cohort
+per batch (the :func:`~repro.service.driver.simulate_service`
+arrangement), **every micro-batch is bitwise-identical to the
+corresponding ``run_dynamic`` epoch on the same root seed** — loads,
+messages, rounds, departure draws, everything (pinned by
+``tests/test_service.py``).  An idle tick flushes nothing, draws
+nothing, and spawns nothing: a service that sits idle overnight
+replays exactly like one that never idled.
 
 Admission (:mod:`repro.service.admission`) runs in front of the
 queue: accept, defer (batches widen while the gap SLO or message
@@ -41,14 +41,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.analysis.stats import percentiles
-from repro.dynamic.runner import (
-    _check_options,
-    _resolve_entry,
-    _resolve_workload,
-)
-from repro.dynamic.faults import FaultState, place_with_loss
-from repro.dynamic.state import ResidentState
-from repro.fastpath.buffers import RoundBuffers
+from repro.dynamic.churn import ChurnStep
 from repro.service.admission import (
     ACCEPT,
     DEFER,
@@ -196,8 +189,8 @@ class AllocatorService:
         for wall time.
     departures, hot_frac:
         Departure policy applied when a batch's releases are drawn
-        (``uniform``/``fifo``/``hotset``/``greedy_adversary``, as in
-        :class:`DynamicSpec`).
+        (``uniform``/``fifo``/``hotset``/``greedy_adversary``) and its
+        hot fraction, validated as in :class:`DynamicSpec`.
     workload:
         Optional workload for arriving cohorts (same rules as
         ``run_dynamic``: skew/capacities yes, weights no).
@@ -244,40 +237,18 @@ class AllocatorService:
         auto_flush: bool = True,
         **options: Any,
     ) -> None:
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_wait < 0:
             raise ValueError(f"max_wait must be >= 0, got {max_wait}")
-        self.residents = ResidentState(n, departures, hot_frac=hot_frac)
-        spec, entry = _resolve_entry(algorithm)
-        _check_options(entry, spec.name, options)
-        self._entry = entry
-        self._workload = _resolve_workload(spec, entry, workload)
-        self._options = dict(options)
-        self._backend = backend
-        if "buffers" in entry.options and "buffers" not in self._options:
-            # Long-lived service: one scratch arena shared by every
-            # flush's placement, so sustained streams stop churning the
-            # allocator.  Value-preserving (the adapter's memory path
-            # changes no draw), so flushes still match run_dynamic
-            # epochs bitwise.
-            self._options["buffers"] = RoundBuffers()
-        self.fault = (
-            FaultState(n, fault_model) if fault_model is not None else None
+        self._step = ChurnStep(
+            algorithm, n, options,
+            departures=departures, hot_frac=hot_frac, workload=workload,
+            fault_model=fault_model, backend=backend,
         )
-        if (
-            departures == "greedy_adversary"
-            or (fault_model is not None and not fault_model.is_null)
-        ) and "drain_settle" in entry.options:
-            # Same graceful-degradation escalation as run_dynamic: under
-            # adversarially skewed residuals the settle phase drains the
-            # cohort instead of handing stragglers to the load-oblivious
-            # phase-2 (see dynamic_heavy).  Benign services never set
-            # this, keeping the run_dynamic bitwise pin intact.
-            self._options.setdefault("drain_settle", True)
-        self.algorithm = spec.name
+        self.residents = self._step.residents
+        self.fault = self._step.fault
+        self.algorithm = self._step.algorithm
         self.n = n
         self.max_batch = max_batch
         self.max_wait = max_wait
@@ -323,9 +294,7 @@ class AllocatorService:
 
     @property
     def gap(self) -> float:
-        loads = self.residents._loads
-        pop = int(loads.sum())
-        return float(loads.max(initial=0) - pop / self.n) if pop else 0.0
+        return self.residents.balance()[2]
 
     def _record_op(self, op: str, count: int, at: float, tele) -> None:
         """The one audit-log recording path: every public mutating call
@@ -440,10 +409,9 @@ class AllocatorService:
         everything pending when ``all_pending``).  Returns the batch
         record, or None when the queue was empty.
 
-        A batch is exactly one dynamic epoch: departures drawn under
-        the service's policy from the control child, then the arriving
-        cohort placed against the residual loads with the placement
-        child — both spawned from the root seed at flush time.
+        A batch is exactly one dynamic epoch: one churn step on the
+        control and placement children spawned from the root seed at
+        flush time.
         """
         tele = current_telemetry()
         if _record_trace:
@@ -455,107 +423,49 @@ class AllocatorService:
             return None
         now = self.clock.now()
         ctrl_seed, place_seed = self._root.spawn(2)
-        # Creating the factory draws nothing; streams are pulled only
-        # when a draw is actually needed (bitwise-stable benign path).
-        ctrl = RngFactory(ctrl_seed)
+        fault = self.fault
+        failed_before = self._step.failed_bins
         start = time.perf_counter()
-        lost_acks = 0
-        if self.fault is not None:
-            # Fail/recover transitions at the batch boundary — the
-            # service-side mirror of run_dynamic's epoch-start step,
-            # on the same per-batch control child.
-            failed_before = self.fault.failed_count
-            self.fault.step(ctrl.stream("dynamic", "faults"))
-            if tele is not None:
-                tele.gauge("service.failed_bins", self.fault.failed_count)
-                if self.fault.failed_count != failed_before:
+        released = min(releases, self.residents.population)
+        self._dropped_releases += releases - released
+        # Creating the factory draws nothing; the step pulls a stream
+        # only when it draws (bitwise-stable benign path).
+        out = self._step.run(
+            len(self.records), RngFactory(ctrl_seed), place_seed,
+            released, places,
+        )
+        elapsed = time.perf_counter() - start
+        if tele is not None:
+            if fault is not None:
+                tele.gauge("service.failed_bins", fault.failed_count)
+                if fault.failed_count != failed_before:
                     tele.event(
                         "fault.step",
                         cat="service",
-                        failed=self.fault.failed_count,
+                        failed=fault.failed_count,
                         was=failed_before,
                     )
-        released = min(releases, self.residents.population)
-        self._dropped_releases += releases - released
-        if released:
-            self.residents.depart(
-                released, ctrl.stream("dynamic", "departures")
-            )
-        placed = unplaced = rounds = messages = moved = 0
-        place_start = tele.begin() if tele is not None else 0.0
-        if places:
-            epoch_wl = self._workload
-            if self.fault is not None:
-                epoch_wl = self.fault.quarantined(epoch_wl, self.n)
-            kwargs = dict(self._options)
-            if self._entry.workload_capable and epoch_wl is not None:
-                kwargs["workload"] = epoch_wl
-            from repro.fastpath.backend import use_backend
-
-            base = self.residents.loads
-
-            def _run(count, initial, seed):
-                with use_backend(self._backend):
-                    return self._entry.runner(
-                        count,
-                        self.n,
-                        initial_loads=initial,
-                        seed=seed,
-                        **kwargs,
-                    )
-
-            if self.fault is not None and self.fault.model.loss_prob > 0:
-                out = place_with_loss(
-                    _run,
-                    places,
-                    base,
-                    place_seed,
-                    self.fault.model.loss_prob,
-                    ctrl.stream("dynamic", "loss"),
-                )
-                self.fault.lost_acks += out.lost_acks
-                lost_acks = out.lost_acks
-                self.residents.add_cohort(len(self.records), out.cohort)
-                placed = out.placed
-                unplaced = out.unplaced
-                rounds = out.rounds
-                messages = out.messages
-                moved = out.placed
-            else:
-                placement = _run(places, base, place_seed)
-                self.residents.add_cohort(
-                    len(self.records), placement.loads - base
-                )
-                placed = placement.placed
-                unplaced = placement.unplaced
-                rounds = placement.rounds
-                messages = placement.total_messages
-                moved = placement.placed
-            if tele is not None:
+            if places:
                 tele.complete(
                     "placement",
-                    place_start,
+                    out.start,
                     cat="service",
                     batch=len(self.records),
                     places=places,
-                    lost_acks=lost_acks,
+                    lost_acks=out.lost_acks,
                 )
-        elapsed = time.perf_counter() - start
         self._busy_seconds += elapsed
         self._processed_places += places
         self._processed_releases += released
-        self._unplaced += unplaced
+        self._unplaced += out.unplaced
         lats = now - np.array(ats)
         weights = np.array(counts)
         self._latencies.append((lats, weights))
         # A left-to-right builtin sum, not numpy's pairwise one: the mean
         # stays bitwise-equal to summing event by event.
         lat_mean = sum((lats * weights).tolist()) / (places + releases)
-        loads = self.residents._loads
-        population = int(loads.sum())
-        max_load = int(loads.max(initial=0))
-        gap = max_load - population / self.n if population else 0.0
-        self.controller.observe(gap, messages, places + released)
+        population, max_load, gap = self.residents.balance()
+        self.controller.observe(gap, out.messages, places + released)
         record = BatchRecord(
             batch=len(self.records),
             t=now,
@@ -563,11 +473,11 @@ class AllocatorService:
             places=places,
             releases=releases,
             released=released,
-            placed=placed,
-            unplaced=unplaced,
-            moved=moved,
-            rounds=rounds,
-            messages=messages,
+            placed=out.placed,
+            unplaced=out.unplaced,
+            moved=out.placed,
+            rounds=out.rounds,
+            messages=out.messages,
             population=population,
             max_load=max_load,
             gap=gap,
@@ -576,20 +486,18 @@ class AllocatorService:
             latency_mean=lat_mean,
             latency_max=float(lats.max()),
             seconds=elapsed,
-            failed_bins=(
-                self.fault.failed_count if self.fault is not None else 0
-            ),
-            lost_acks=lost_acks,
+            failed_bins=self._step.failed_bins,
+            lost_acks=out.lost_acks,
         )
         self.records.append(record)
         if tele is not None:
             tele.count("service.flushes")
-            tele.count("service.messages", messages)
+            tele.count("service.messages", out.messages)
             tele.observe("service.flush.seconds", elapsed)
             tele.observe("service.flush.gap", gap)
             tele.gauge("service.queue.depth", self.queue.pending)
-            if lost_acks:
-                tele.count("service.lost_acks", lost_acks)
+            if out.lost_acks:
+                tele.count("service.lost_acks", out.lost_acks)
             tele.complete(
                 "flush",
                 start,
@@ -668,9 +576,7 @@ class AllocatorService:
             latency_mean=lat_mean,
             latency_max=lat_max,
             complete=self._unplaced == 0,
-            failed_bins=(
-                self.fault.failed_count if self.fault is not None else 0
-            ),
+            failed_bins=self._step.failed_bins,
             lost_acks=(
                 int(self.fault.lost_acks) if self.fault is not None else 0
             ),

@@ -37,8 +37,8 @@ from repro import (
     simulate_service,
 )
 from repro.api.bench import ADVERSARIAL_COLUMNS, benchmark_adversarial, render
+from repro.dynamic.churn import _attack_workload
 from repro.dynamic.faults import FaultState, place_with_loss
-from repro.dynamic.runner import _attack_workload
 from repro.dynamic.state import ResidentState
 from repro.fastpath.backend import BACKEND_ENV_VAR
 from repro.service.events import EventQueue, SimulatedClock
@@ -665,6 +665,56 @@ class TestServiceDegraded:
             np.testing.assert_array_equal(
                 svc.residents.loads, dyn.loads_history[epoch]
             )
+
+    @pytest.mark.parametrize("mode", ["perball", "aggregate"])
+    @pytest.mark.parametrize(
+        "departures", ["uniform", "fifo", "greedy_adversary"]
+    )
+    @pytest.mark.parametrize(
+        "fault_model",
+        [
+            None,
+            FaultModel(0.05, 0.25, 0.02),
+            FaultModel(0.1, 0.2),
+            FaultModel(loss_prob=0.05),
+        ],
+        ids=["benign", "fail+recover+loss", "fail+recover", "loss"],
+    )
+    def test_service_matches_run_dynamic_under_faults(
+        self, fault_model, departures, mode
+    ):
+        # Quarantine and ghost-slot retries draw from the same control
+        # child in a flush as in an epoch: every batch record and every
+        # post-flush load vector equals its run_dynamic counterpart.
+        m, n, epochs, churn = 2_000, 16, 6, 0.2
+        dyn = run_dynamic(
+            "heavy", m, n, seed=61, epochs=epochs, churn=churn,
+            arrivals="fixed", departures=departures,
+            fault_model=fault_model, mode=mode,
+        )
+        svc = AllocatorService(
+            "heavy", n, seed=61, max_batch=10**9,
+            clock=SimulatedClock(), departures=departures,
+            fault_model=fault_model, mode=mode,
+        )
+        shared = (
+            "placed", "unplaced", "moved", "rounds", "messages",
+            "population", "max_load", "gap", "failed_bins", "lost_acks",
+        )
+        count = round(churn * m)
+        for epoch, expected in enumerate(dyn.records):
+            if epoch:
+                svc.release(count)
+            svc.place(count if epoch else m)
+            batch = svc.flush()
+            np.testing.assert_array_equal(
+                svc.residents.loads, dyn.loads_history[epoch]
+            )
+            assert batch.places == expected.arrivals
+            assert batch.released == expected.departures
+            assert [getattr(batch, f) for f in shared] == [
+                getattr(expected, f) for f in shared
+            ], epoch
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,8 @@ class TestRunAsymmetric:
 
     def test_per_bin_messages_scale(self):
         """Cor 2 (relaxed): max per-bin messages O((m/n) + log n) up to
-        the moderate-regime leader factor (see DESIGN.md)."""
+        the moderate-regime leader factor (see experiment T4 in
+        repro.experiments.registry)."""
         m, n = 10**6, 1000
         res = run_asymmetric(m, n, seed=1)
         s = res.messages.summary()

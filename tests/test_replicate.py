@@ -26,7 +26,12 @@ from repro.api import (
 M, N, SEED, TRIALS = 20_000, 64, 11, 8
 
 #: Every spec that must carry the trial_batched capability.
-BATCHED_SPECS = ("heavy", "combined", "trivial", "single", "stemann")
+BATCHED_SPECS = ("heavy", "combined", "single", "stemann")
+
+#: (spec, m, n) inputs of the sequential-loop pin; the last one takes
+#: combined's tiny-n branch (n < log log(m/n): the trivial algorithm).
+LOOP_CASES = [pytest.param(name, M, N, id=name) for name in BATCHED_SPECS]
+LOOP_CASES.append(pytest.param("combined", 10_000, 2, id="combined-trivial"))
 
 #: The skewed + weighted scenario of the equivalence satellite.
 WL = "zipf:1.1+geomw:0.5"
@@ -57,7 +62,6 @@ class TestRegistry:
 
     def test_equivalent_modes(self):
         assert get_replicator("heavy").equivalent_mode == "aggregate"
-        assert get_replicator("trivial").equivalent_mode is None
 
 
 class TestEquivalence:
@@ -78,20 +82,20 @@ class TestEquivalence:
             assert rep.total_messages[t] == many[t].total_messages
             assert rep.results[t].seed_entropy == many[t].seed_entropy
 
-    @pytest.mark.parametrize("name", BATCHED_SPECS)
+    @pytest.mark.parametrize("name,m,n", LOOP_CASES)
     @pytest.mark.parametrize("workload", [None, WL])
-    def test_matches_sequential_loop_exactly(self, name, workload):
+    def test_matches_sequential_loop_exactly(self, name, m, n, workload):
         """The substantive check: batched vs the true per-seed loop."""
         entry = get_replicator(name)
         opts = {"workload": workload} if workload else {}
-        rep = replicate(name, M, N, trials=TRIALS, seed=SEED, **opts)
+        rep = replicate(name, m, n, trials=TRIALS, seed=SEED, **opts)
         seq = allocate_many(
             name,
-            M,
-            N,
+            m,
+            n,
             repeats=TRIALS,
             seed=SEED,
-            mode=entry.equivalent_mode if entry.equivalent_mode else "auto",
+            mode=entry.equivalent_mode,
             trial_batched=False,
             **opts,
         )
@@ -323,10 +327,10 @@ class TestBenchmarkReplication:
         from repro.api.bench import REPLICATION_COLUMNS, render
 
         records = benchmark_replication(
-            2000, 16, trials=2, seed=0, algorithms=("single", "trivial"),
+            2000, 16, trials=2, seed=0, algorithms=("single", "stemann"),
         )
         table = render(records, REPLICATION_COLUMNS)
-        assert "speedup" in table and "single" in table and "trivial" in table
+        assert "speedup" in table and "single" in table and "stemann" in table
 
 
 class TestCli:

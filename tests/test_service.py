@@ -376,6 +376,25 @@ class TestServiceEdgeCases:
         with pytest.raises(ValueError, match="dynamic-capable"):
             AllocatorService("greedy", 16)
 
+    @pytest.mark.parametrize("hot_frac", [0.0, 1.0, 1.5, -1.0, float("nan")])
+    def test_hot_frac_rejected_at_construction(self, hot_frac):
+        # Both entry points reject what DynamicSpec rejects, with its
+        # message, before a seed is spawned: no service exists to queue
+        # events, so no later flush can lose a taken batch.
+        message = r"hot_frac must lie strictly in \(0, 1\)"
+        root = np.random.SeedSequence(5)
+        with pytest.raises(ValueError, match=message):
+            AllocatorService(
+                "heavy", 16, seed=root, departures="hotset",
+                hot_frac=hot_frac,
+            )
+        with pytest.raises(ValueError, match=message):
+            run_dynamic(
+                "heavy", 1000, 16, seed=root, departures="hotset",
+                hot_frac=hot_frac,
+            )
+        assert root.n_children_spawned == 0
+
     def test_queue_overflow_sheds(self):
         svc = self._service(max_batch=1000, max_queue=100, auto_flush=False)
         assert svc.place(80) == ACCEPT
