@@ -409,7 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--kernel-only",
         action="store_true",
-        help="restrict to kernel-backed allocators",
+        help="restrict to allocators on the shared round kernels "
+        "(the workload-capable ones)",
     )
     p_bench.add_argument(
         "--workload",
@@ -449,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
 #: ``AllocatorSpec.capabilities()`` string the column replaces — kept
 #: here so the "other" column derives its exclusions from this table).
 _CAPABILITY_COLUMNS = (
-    ("kernel", "kernel_backed", "kernel"),
     ("workload", "workload_capable", "workload"),
     ("trials", "trial_batched", "trial_batched"),
     ("dynamic", "dynamic_capable", "dynamic"),
@@ -460,9 +460,9 @@ def _list_registry() -> None:
     specs = list_allocators()
     name_w = max(len(s.name) for s in specs)
     mode_w = max(len(",".join(s.modes)) or 1 for s in specs)
-    # One yes/no column per engine capability (kernel backend, workload
-    # scenarios, trial batching, dynamic placement); the remaining
-    # behavioral flags stay a comma-joined column.
+    # One yes/no column per engine capability (workload scenarios on
+    # the round kernels, trial batching, dynamic placement); the
+    # remaining behavioral flags stay a comma-joined column.
     columned = {cap for _, _, cap in _CAPABILITY_COLUMNS}
     other_caps = {
         s.name: [c for c in s.capabilities() if c not in columned]

@@ -9,20 +9,21 @@ Two entry points:
 * :func:`sweep` — run a grid of ``(m, n)`` points, each repeated, with
   per-run spawned streams.
 
-Execution: when the algorithm's spec carries the ``trial_batched``
-capability and the request is compatible (``mode="auto"`` or the
-adapter's own mode, adapter-supported options), the repetitions run on
-the trial-batched kernel engine — one lock-step vectorized pass whose
+Execution: :func:`_try_batched` is the one dispatcher every batch of
+seeds goes through, :func:`repro.replicate` included.  When the
+algorithm's spec carries the ``trial_batched`` capability and the
+request is compatible (``mode="auto"`` or ``"aggregate"``,
+replicator-supported options), the repetitions run on the
+trial-batched kernel engine — one lock-step vectorized pass whose
 per-repeat results are *bitwise-identical* to the sequential loop run
-in the same resolved mode (see :mod:`repro.api.replicate`).  The mode
-resolution itself is the one place ``"auto"`` semantics move: for
-trial-batched specs, ``mode="auto"`` here selects the adapter's
-equivalent mode (aggregate for the kernel-backed protocols) at *any*
-instance size, just as single-run ``allocate`` upgrades to aggregate
-above ``AGGREGATE_THRESHOLD`` — identical in distribution, not
-bitwise, and without per-ball message counters.  Callers who need the
-runner's default mode bitwise say so exactly as they always have:
-``mode=None`` (or an explicit mode), which is never silently batched.
+in the aggregate mode.  The mode resolution itself is the one place
+``"auto"`` semantics move: for trial-batched specs, ``mode="auto"``
+here selects the aggregate mode at *any* instance size, just as
+single-run ``allocate`` upgrades to aggregate above
+``AGGREGATE_THRESHOLD`` — identical in distribution, not bitwise, and
+without per-ball message counters.  Callers who need the runner's
+default mode bitwise say so exactly as they always have: ``mode=None``
+(or an explicit mode), which is never silently batched.
 
 Everything else runs the per-seed loop, optionally fanned out over
 processes with ``workers=`` (the CPU-bound numpy simulations cannot
@@ -38,9 +39,9 @@ from typing import Any, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.api.dispatch import _split_options, allocate
-from repro.api.replicate import batched_eligible, run_batched
-from repro.api.spec import get_spec
+from repro.api.dispatch import _split_options, allocate, resolve_mode
+from repro.api.spec import AllocatorSpec, get_spec
+from repro.result import AllocationResult
 from repro.utils.seeding import as_seed_sequence
 
 __all__ = ["allocate_many", "spawn_seeds", "sweep"]
@@ -75,6 +76,54 @@ def _run_tasks(tasks: list[tuple], workers: Optional[int]) -> list:
     ]
 
 
+def batched_eligible(
+    spec: AllocatorSpec,
+    m: int,
+    mode: Optional[str],
+    runner_kwargs: dict[str, Any],
+) -> bool:
+    """Can this request run on the trial-batched engine at *identical*
+    values?
+
+    Requires a registered replicator, a compatible execution mode
+    (``"auto"`` opts in; anything else must resolve to ``aggregate``,
+    the mode every replicator reproduces) and replicator support for
+    every requested option.
+    """
+    if spec.replicator is None:
+        return False
+    if mode != "auto" and resolve_mode(spec, m, mode) != "aggregate":
+        return False
+    return set(runner_kwargs) <= set(spec.replicator.options)
+
+
+def run_batched(
+    spec: AllocatorSpec,
+    m: int,
+    n: int,
+    seed_seqs: Sequence[np.random.SeedSequence],
+    workload,
+    runner_kwargs: dict[str, Any],
+) -> list[AllocationResult]:
+    """Invoke the registered replicator and annotate the dispatch
+    record."""
+    from repro.fastpath.backend import resolve_backend
+
+    results = spec.replicator.runner(
+        m, n, trials=len(seed_seqs), seed_seqs=list(seed_seqs),
+        workload=workload, **runner_kwargs,
+    )
+    for result in results:
+        result.extra["api"] = {
+            "algorithm": spec.name,
+            "mode": "aggregate",
+            "workload": workload.describe() if workload is not None else None,
+            "trial_batched": True,
+            "backend": resolve_backend().name,
+        }
+    return results
+
+
 def _try_batched(
     algorithm: str,
     m: int,
@@ -90,7 +139,8 @@ def _try_batched(
 
     ``workers >= 2`` shards the engine's trial axis across processes
     (:func:`repro.experiments.parallel.replicate_sharded`) — per-trial
-    bitwise-identical to the single-process batch.
+    bitwise-identical to the single-process batch.  A ``backend``
+    option is pinned on either path, shard workers included.
     """
     if trial_batched is False:
         return None
@@ -101,12 +151,14 @@ def _try_batched(
                 f"algorithm {spec.name!r} has no trial-batched engine"
             )
         return None
+    from repro.fastpath.backend import use_backend
     from repro.workloads import as_workload
 
     opts = dict(options)
     wl = as_workload(opts.pop("workload", None))
+    backend = opts.pop("backend", None)
     runner_kwargs = _split_options(spec, opts)
-    if not batched_eligible(spec, m, mode, wl, runner_kwargs):
+    if not batched_eligible(spec, m, mode, runner_kwargs):
         if trial_batched is True:
             raise ValueError(
                 f"algorithm {spec.name!r} cannot batch this request "
@@ -117,9 +169,11 @@ def _try_batched(
         from repro.experiments.parallel import replicate_sharded
 
         return replicate_sharded(
-            spec.name, m, n, children, wl, runner_kwargs, workers=workers
+            spec.name, m, n, children, wl, runner_kwargs,
+            workers=workers, backend=backend,
         )
-    return run_batched(spec, m, n, children, wl, runner_kwargs)
+    with use_backend(backend):
+        return run_batched(spec, m, n, children, wl, runner_kwargs)
 
 
 def allocate_many(
@@ -155,22 +209,24 @@ def allocate_many(
     trial_batched:
         ``None`` (default) routes through the trial-batched engine for
         specs with the ``trial_batched`` capability under
-        ``mode="auto"`` — each repeat then executes in the adapter's
-        equivalent mode (aggregate for the kernel-backed protocols),
-        regardless of instance size — or under that mode explicitly.
-        ``False`` forces the historical per-seed loop (note that under
-        ``mode="auto"`` the loop resolves the mode per the single-run
-        rules, i.e. the spec default below ``AGGREGATE_THRESHOLD``, so
-        it reproduces the engine's values only at the adapter's mode;
-        pass that mode explicitly to compare value-for-value).
+        ``mode="auto"`` — each repeat then executes in the aggregate
+        mode, regardless of instance size — or under
+        ``mode="aggregate"`` explicitly.  ``False`` forces the
+        historical per-seed loop (note that under ``mode="auto"`` the
+        loop resolves the mode per the single-run rules, i.e. the spec
+        default below ``AGGREGATE_THRESHOLD``, so it reproduces the
+        engine's values only in the aggregate mode; pass it explicitly
+        to compare value-for-value).
         ``True`` requires batching and raises when the request cannot
         batch.
 
     Notes
     -----
     ``workload=`` (a :class:`repro.workloads.Workload` or spec string)
-    passes through ``options`` into :func:`~repro.api.dispatch.allocate`
-    per run; because each run's stream is spawned from the root seed,
+    and ``backend=`` (a kernel backend name) pass through ``options``
+    into :func:`~repro.api.dispatch.allocate` per run, and the
+    trial-batched engine honours both (shard workers re-pin the
+    backend); because each run's stream is spawned from the root seed,
     results are identical for any ``workers`` count, workload or not.
 
     Returns

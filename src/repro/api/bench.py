@@ -249,7 +249,8 @@ def benchmark_registry(
         because their Python-loop cost at large ``m`` dwarfs every
         vectorized path.
     kernel_only:
-        Restrict to kernel-backed specs (the ``kernel`` capability).
+        Restrict to the specs on the shared round kernels: the
+        ``workload_capable`` ones.
     workload:
         Optional workload spec string (or
         :class:`repro.workloads.Workload`) applied to every run.  A
@@ -272,7 +273,7 @@ def benchmark_registry(
             continue
         if spec.sequential and not include_sequential and wanted is None:
             continue
-        if kernel_only and not spec.kernel_backed:
+        if kernel_only and not spec.workload_capable:
             continue
         if wl is not None and not spec.workload_capable:
             if wanted is not None:
@@ -373,7 +374,7 @@ def benchmark_replication(
     """
     from repro.api.batch import allocate_many
     from repro.api.replicate import replicate
-    from repro.fastpath.backend import resolve_backend, use_backend
+    from repro.fastpath.backend import resolve_backend
 
     names = _names(algorithms, "trial_batched")
     lacking = [a for a in names if not get_spec(a).trial_batched]
@@ -397,12 +398,10 @@ def benchmark_replication(
         sequential_seconds = speedup = None
         if include_sequential:
             start = time.perf_counter()
-            with use_backend(backend):
-                allocate_many(
-                    name, m, n, repeats=trials, seed=seed, workers=1,
-                    trial_batched=False,
-                    **({} if workload is None else {"workload": workload}),
-                )
+            allocate_many(
+                name, m, n, repeats=trials, seed=seed, workers=1,
+                trial_batched=False, workload=workload, backend=backend,
+            )
             sequential_seconds = time.perf_counter() - start
             speedup = _ratio(sequential_seconds, batched_seconds)
         records.append({

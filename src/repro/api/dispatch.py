@@ -61,14 +61,9 @@ def resolve_mode(
     if mode is None:
         return spec.default_mode or spec.modes[0]
     if mode == "auto":
-        # The kernel backend (shared RoundState round kernels) is what
-        # makes the aggregate path exact-in-distribution; only specs
-        # declaring it are eligible for the instance-size upgrade.
-        if (
-            spec.kernel_backed
-            and "aggregate" in spec.modes
-            and m >= AGGREGATE_THRESHOLD
-        ):
+        # The aggregate path is exact in distribution (it runs the same
+        # RoundState round kernels), so any spec listing it upgrades.
+        if "aggregate" in spec.modes and m >= AGGREGATE_THRESHOLD:
             return "aggregate"
         return spec.default_mode or spec.modes[0]
     if mode not in spec.modes:

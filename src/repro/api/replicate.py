@@ -12,14 +12,15 @@ at one run.  :func:`replicate` is that operation as a first-class API:
 >>> bool(rep.ci("gap").half_width >= 0)
 True
 
-Execution: when the algorithm's spec carries the ``trial_batched``
-capability (heavy, combined, single, stemann), all trials
+Execution: :func:`replicate` is :func:`repro.api.batch.allocate_many`
+plus a summary, with one rule of its own — under ``mode="auto"`` a
+spec with the ``trial_batched`` capability (heavy, combined, single,
+stemann) runs in the aggregate mode, batched or not.  Its trials then
 advance through the trial-batched kernel engine in lock-step — one
 vectorized pass instead of ``trials`` sequential runs, at identical
 values: trial ``t`` is bitwise-equal to a sequential run seeded with
 the ``t``-th spawned child of the root seed (the package-wide
-``SeedSequence.spawn`` convention shared with
-:func:`repro.api.batch.allocate_many`).  Other specs fall back to the
+``SeedSequence.spawn`` convention).  Other specs fall back to the
 sequential per-seed loop transparently.
 
 The result is a :class:`ReplicationResult`: the per-trial metric
@@ -41,10 +42,9 @@ from repro.analysis.stats import (
     mean_confidence_interval,
     sample_quantiles,
 )
-from repro.api.dispatch import _split_options, allocate, resolve_mode
-from repro.api.spec import AllocatorSpec, get_replicator, get_spec
+from repro.api.batch import allocate_many
+from repro.api.spec import get_spec
 from repro.result import AllocationResult
-from repro.utils.seeding import as_seed_sequence
 
 __all__ = ["ReplicationResult", "replicate"]
 
@@ -267,61 +267,6 @@ class ReplicationResult:
         )
 
 
-def batched_eligible(
-    spec: AllocatorSpec,
-    m: int,
-    mode: Optional[str],
-    workload,
-    runner_kwargs: dict[str, Any],
-) -> bool:
-    """Can this request run on the trial-batched engine at *identical*
-    values?
-
-    Requires a registered adapter, a compatible execution mode
-    (``"auto"`` opts in; anything else must resolve to the adapter's
-    ``equivalent_mode``), adapter support for every requested option,
-    and — for non-uniform workloads — an adapter that takes them.
-    """
-    entry = get_replicator(spec.name) if spec.trial_batched else None
-    if entry is None:
-        return False
-    if mode != "auto":
-        if resolve_mode(spec, m, mode) != entry.equivalent_mode:
-            return False
-    if workload is not None and not entry.workload_capable:
-        return False
-    return set(runner_kwargs) <= set(entry.options)
-
-
-def run_batched(
-    spec: AllocatorSpec,
-    m: int,
-    n: int,
-    seed_seqs: Sequence[np.random.SeedSequence],
-    workload,
-    runner_kwargs: dict[str, Any],
-) -> list[AllocationResult]:
-    """Invoke the registered adapter and annotate the dispatch record."""
-    entry = get_replicator(spec.name)
-    kwargs = dict(runner_kwargs)
-    if entry.workload_capable:
-        kwargs["workload"] = workload
-    from repro.fastpath.backend import resolve_backend
-
-    results = entry.runner(
-        m, n, trials=len(seed_seqs), seed_seqs=list(seed_seqs), **kwargs
-    )
-    for result in results:
-        result.extra["api"] = {
-            "algorithm": spec.name,
-            "mode": entry.equivalent_mode,
-            "workload": workload.describe() if workload is not None else None,
-            "trial_batched": True,
-            "backend": resolve_backend().name,
-        }
-    return results
-
-
 def replicate(
     algorithm: str,
     m: int,
@@ -351,12 +296,12 @@ def replicate(
         ``replicate(trials=T, seed=s)`` and ``allocate_many(repeats=T,
         seed=s)`` see identical per-trial randomness).
     mode:
-        ``"auto"`` (default) prefers the trial-batched engine for
-        ``trial_batched`` specs — each trial then executes in the
-        adapter's equivalent mode (aggregate for the kernel-backed
-        protocols).  An explicit mode is honored: it batches only when
-        it matches the adapter's mode, else every trial runs
-        sequentially in that mode.
+        ``"auto"`` (default) runs ``trial_batched`` specs in the
+        aggregate mode — on the trial-batched engine, or in the
+        sequential fallback — and other specs as ``allocate`` would.
+        An explicit mode is honored: it batches only when it is
+        ``"aggregate"``, else every trial runs sequentially in that
+        mode.
     workload:
         Optional workload spec (:class:`repro.workloads.Workload` or
         string), applied to every trial.
@@ -391,74 +336,18 @@ def replicate(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     spec = get_spec(algorithm)
-    runner_kwargs = _split_options(spec, options)
-    from repro.workloads import as_workload
-
-    wl = as_workload(workload)
-    eligible = trial_batched is not False and batched_eligible(
-        spec, m, mode, wl, runner_kwargs
+    if mode == "auto" and spec.trial_batched:
+        mode = "aggregate"
+    results = allocate_many(
+        spec.name, m, n, repeats=trials, seed=seed, mode=mode,
+        workers=workers, trial_batched=trial_batched, workload=workload,
+        backend=backend, **options,
     )
-    if trial_batched is True and not eligible:
-        raise ValueError(
-            f"algorithm {spec.name!r} cannot run this request on the "
-            f"trial-batched engine (mode={mode!r}, options="
-            f"{sorted(runner_kwargs)}); drop trial_batched=True to use "
-            f"the sequential path"
-        )
-    from repro.fastpath.backend import use_backend
-
-    children = as_seed_sequence(seed).spawn(trials)
-    entry = get_replicator(spec.name)
-    if eligible:
-        if workers is not None and workers > 1 and trials > 1:
-            from repro.experiments.parallel import replicate_sharded
-
-            results = replicate_sharded(
-                spec.name, m, n, children, wl, runner_kwargs,
-                workers=workers, backend=backend,
-            )
-        else:
-            with use_backend(backend):
-                results = run_batched(spec, m, n, children, wl, runner_kwargs)
-        resolved_mode = entry.equivalent_mode
-        batched = True
-    else:
-        # Sequential fallback.  For trial-batched specs under
-        # mode="auto" the per-trial runs use the adapter's equivalent
-        # mode, so forcing trial_batched=False changes nothing but the
-        # wall clock.
-        if mode == "auto" and entry is not None:
-            resolved_mode = entry.equivalent_mode
-        else:
-            resolved_mode = resolve_mode(spec, m, mode)
-        task_options = dict(options)
-        if workload is not None:
-            task_options["workload"] = workload
-        if backend is not None:
-            # Explicit pins must survive the process-pool path, where
-            # the ambient context does not follow; allocate() takes the
-            # backend as a first-class keyword.
-            task_options["backend"] = backend
-        tasks = [
-            (spec.name, m, n, child, resolved_mode, task_options)
-            for child in children
-        ]
-        if workers is not None and workers > 1 and len(tasks) > 1:
-            from repro.experiments.parallel import allocate_batch
-
-            results = allocate_batch(tasks, workers=workers)
-        else:
-            results = [
-                allocate(a, mm, nn, seed=s, mode=md, **opt)
-                for a, mm, nn, s, md, opt in tasks
-            ]
-        batched = False
-    for i, result in enumerate(results):
-        result.extra["api"]["repeat"] = i
+    api = results[0].extra["api"]
     return ReplicationResult.from_results(
         results,
         algorithm=spec.name,
-        mode=resolved_mode,
-        batched=batched,
-        workload=wl.describe() if wl is not None else None,
+        mode=api["mode"],
+        batched=api.get("trial_batched", False),
+        workload=api["workload"],
     )

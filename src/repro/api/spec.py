@@ -5,9 +5,13 @@ Every allocation algorithm in the package — the paper's algorithms in
 light-load subroutine in :mod:`repro.light` — declares itself to a
 single registry via the :func:`register_allocator` decorator.  A
 registration records an :class:`AllocatorSpec`: the callable, its
-supported execution modes, capability flags, config dataclass, and the
-exact set of keyword options it accepts (derived from the function
-signature, so the spec can never drift from the implementation).
+supported execution modes, config dataclass, and the exact set of
+keyword options it accepts (derived from the function signature, so
+the spec can never drift from the implementation).  Trial-batched
+replication and dynamic placement attach to the same spec as
+:class:`Adapter` fields (:func:`register_replicator`,
+:func:`register_dynamic`); every capability except ``sequential`` and
+``fault_tolerant`` is derived from those signatures, not declared.
 
 The registry is what makes the rest of the package uniform:
 
@@ -33,9 +37,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
+    "Adapter",
     "AllocatorSpec",
-    "DynamicEntry",
-    "ReplicatorEntry",
     "register_allocator",
     "register_dynamic",
     "register_replicator",
@@ -58,7 +61,7 @@ KNOWN_MODES = ("perball", "aggregate", "engine")
 #: becomes a validated option.  ``workload`` is common because the
 #: dispatch layer owns its parsing/validation (see
 #: :func:`repro.api.dispatch.allocate` and the ``workload_capable``
-#: capability flag).
+#: capability).
 _COMMON_PARAMS = frozenset({"m", "n", "seed", "mode", "config", "workload"})
 
 _INT_ANNOTATION = re.compile(r"\bint\b")
@@ -66,8 +69,43 @@ _FLOAT_ANNOTATION = re.compile(r"\bfloat\b")
 
 
 @dataclass(frozen=True)
+class Adapter:
+    """A registered trial-batched replication or dynamic-placement
+    adapter (:func:`register_replicator`, :func:`register_dynamic`).
+
+    Attributes
+    ----------
+    runner:
+        The adapter function.  A replicator is called as
+        ``runner(m, n, trials=T, seed_seqs=[...], workload=..., **options)``
+        with one spawned :class:`numpy.random.SeedSequence` per trial
+        and returns ``T`` :class:`~repro.result.AllocationResult`
+        objects, trial ``t`` bitwise-identical to the allocator's
+        ``aggregate`` run seeded with ``seed_seqs[t]``.  A dynamic
+        adapter is called as
+        ``runner(m, n, initial_loads=..., seed=..., workload=..., **options)``
+        where ``m`` is the arriving cohort and ``initial_loads`` the
+        residual per-bin occupancy it is placed against; it returns a
+        :class:`repro.dynamic.placement.DynamicPlacement`, and with
+        all-zero ``initial_loads`` it is the allocator's one-shot run
+        on the cohort.
+    options:
+        Keyword options the adapter accepts beyond its reserved
+        parameters; a batch request with any other option falls back
+        to the sequential loop, a dynamic run rejects it.
+    """
+
+    runner: Callable[..., Any]
+    options: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class AllocatorSpec:
     """Everything the dispatch layer knows about one algorithm.
+
+    ``sequential`` and ``fault_tolerant`` are declared at
+    registration; every other capability is derived from the runner's
+    and adapters' signatures.
 
     Attributes
     ----------
@@ -87,47 +125,25 @@ class AllocatorSpec:
         spellings, paper names).
     modes:
         Execution modes the runner's ``mode=`` keyword accepts; empty
-        when the runner has no ``mode`` parameter.
+        when the runner has no ``mode`` parameter.  ``mode="auto"``
+        upgrades to ``aggregate`` at large ``m`` when it is listed.
     default_mode:
         Mode used when the caller asks for ``"auto"`` on a small
         instance (defaults to the first entry of ``modes``).
     sequential:
-        True for non-parallel baselines whose "rounds" are not
-        message rounds (greedy[d]).
+        Declared: True for non-parallel baselines whose "rounds" are
+        not message rounds (greedy[d]).
     fault_tolerant:
-        True when the runner models crashes / message loss.
-    supports_multicontact:
-        True when the runner takes a per-ball fan-out parameter ``d``
-        (contacts several bins per round or per ball).
-    kernel_backed:
-        True when the runner's vectorized modes execute on the shared
-        :class:`repro.fastpath.roundstate.RoundState` round kernels
-        (sample contacts / group-and-accept / commit-and-revoke) —
-        the capability ``mode="auto"`` relies on to pick the ``O(n)``-
-        per-round aggregate backend at large ``m``.
+        Declared: True when the runner models crashes / message loss.
     workload_capable:
-        True when the runner takes a ``workload=`` keyword (a
+        Derived: True when the runner takes a ``workload=`` keyword (a
         :class:`repro.workloads.Workload` scenario: non-uniform choice
-        distributions, weighted balls, heterogeneous capacities).
-        Allocators without the flag accept only the uniform workload;
+        distributions, weighted balls, heterogeneous capacities) — the
+        runners that execute on the shared
+        :class:`repro.fastpath.roundstate.RoundState` round kernels.
+        Allocators without it accept only the uniform workload;
         :func:`~repro.api.dispatch.allocate` raises a clear error
         before calling them with anything else.
-    trial_batched:
-        True when the allocator registered a trial-batched replication
-        adapter (:func:`register_replicator`): one engine invocation
-        advances T independent seeded replications in lock-step,
-        producing per-trial results bitwise-identical to the sequential
-        per-seed loop.  ``repro.replicate`` and the batch helpers
-        (``allocate_many``/``sweep``) route through the adapter when
-        this flag is set.
-    dynamic_capable:
-        True when the allocator registered a dynamic-placement adapter
-        (:func:`register_dynamic`): the protocol can place a cohort of
-        new balls into bins that *already hold residual load*
-        (``RoundState(initial_loads=...)``), which is what the dynamic
-        subsystem's incremental rebalancing (:mod:`repro.dynamic`)
-        runs every epoch.  ``repro.run_dynamic`` accepts only
-        allocators with this flag.
     config_type:
         Optional config dataclass accepted via ``config=``; its fields
         may also be passed flat to :func:`~repro.api.dispatch.allocate`
@@ -140,6 +156,10 @@ class AllocatorSpec:
     cli_options:
         Subset of options (and config fields) exposable as numeric CLI
         flags: mapping of option name to (type, default).
+    replicator:
+        The trial-batched replication :class:`Adapter`, or None.
+    dynamic:
+        The dynamic-placement :class:`Adapter`, or None.
     """
 
     name: str
@@ -151,19 +171,40 @@ class AllocatorSpec:
     default_mode: Optional[str] = None
     sequential: bool = False
     fault_tolerant: bool = False
-    supports_multicontact: bool = False
-    kernel_backed: bool = False
     workload_capable: bool = False
-    trial_batched: bool = False
-    dynamic_capable: bool = False
     config_type: Optional[type] = None
     options: tuple[str, ...] = ()
     config_fields: tuple[str, ...] = ()
     cli_options: dict[str, tuple[type, Any]] = field(default_factory=dict)
+    replicator: Optional[Adapter] = None
+    dynamic: Optional[Adapter] = None
 
     @property
     def all_names(self) -> tuple[str, ...]:
         return (self.name,) + self.aliases
+
+    @property
+    def supports_multicontact(self) -> bool:
+        """Derived: the runner takes a per-ball fan-out ``d`` (contacts
+        several bins per round or per ball)."""
+        return "d" in self.options
+
+    @property
+    def trial_batched(self) -> bool:
+        """Derived: a replicator is attached, so one engine invocation
+        advances T seeded replications in lock-step, per trial
+        bitwise-identical to the sequential per-seed loop in the
+        ``aggregate`` mode.  ``repro.replicate`` and the batch helpers
+        (``allocate_many``/``sweep``) route through it."""
+        return self.replicator is not None
+
+    @property
+    def dynamic_capable(self) -> bool:
+        """Derived: a dynamic adapter is attached, so the protocol can
+        place a cohort into bins that *already hold residual load* —
+        what :mod:`repro.dynamic` and the service run every epoch.
+        ``repro.run_dynamic`` accepts only these allocators."""
+        return self.dynamic is not None
 
     @property
     def valid_options(self) -> tuple[str, ...]:
@@ -176,8 +217,6 @@ class AllocatorSpec:
 
     def capabilities(self) -> tuple[str, ...]:
         caps = []
-        if self.kernel_backed:
-            caps.append("kernel")
         if self.workload_capable:
             caps.append("workload")
         if self.trial_batched:
@@ -197,71 +236,6 @@ class AllocatorSpec:
 _ALIASES: dict[str, str] = {}
 #: canonical name -> spec.
 _REGISTRY: dict[str, AllocatorSpec] = {}
-#: canonical name -> trial-batched replication adapter.
-_REPLICATORS: dict[str, "ReplicatorEntry"] = {}
-#: canonical name -> dynamic-placement adapter.
-_DYNAMICS: dict[str, "DynamicEntry"] = {}
-
-
-@dataclass(frozen=True)
-class ReplicatorEntry:
-    """A registered trial-batched replication adapter.
-
-    Attributes
-    ----------
-    runner:
-        Called as ``runner(m, n, trials=T, seed_seqs=[...], **options)``
-        with one spawned :class:`numpy.random.SeedSequence` per trial;
-        returns a list of ``T`` :class:`~repro.result.AllocationResult`
-        objects, trial ``t`` bitwise-identical to running the
-        allocator sequentially with seed ``seed_seqs[t]`` in
-        ``equivalent_mode``.
-    equivalent_mode:
-        The execution mode whose sequential per-seed loop the adapter
-        reproduces exactly (``None`` for modeless allocators).  The
-        batch helpers only substitute the adapter when the caller's
-        resolved mode matches, so batching never changes values.
-    options:
-        Runner keyword options the adapter also accepts (beyond
-        ``workload``); requests with other options fall back to the
-        sequential loop.
-    workload_capable:
-        Whether the adapter takes ``workload=``.
-    """
-
-    runner: Callable[..., Any]
-    equivalent_mode: Optional[str]
-    options: tuple[str, ...]
-    workload_capable: bool
-
-
-@dataclass(frozen=True)
-class DynamicEntry:
-    """A registered dynamic-placement adapter.
-
-    Attributes
-    ----------
-    runner:
-        Called as ``runner(m, n, initial_loads=..., seed=..., **options)``
-        where ``m`` is the size of the *arriving/displaced* cohort and
-        ``initial_loads`` the residual per-bin occupancy the cohort is
-        placed against; returns a
-        :class:`repro.dynamic.placement.DynamicPlacement`.  With
-        all-zero ``initial_loads`` the adapter is the allocator's
-        one-shot run on the cohort (the anchor the 100%-churn tests
-        pin).
-    options:
-        Extra keyword options the adapter accepts (beyond the reserved
-        ``m, n, initial_loads, seed, workload`` set).
-    workload_capable:
-        Whether the adapter takes ``workload=`` (choice skew and
-        capacity profiles; the dynamic runner itself rejects weighted
-        workloads, whose departures need per-ball weight identity).
-    """
-
-    runner: Callable[..., Any]
-    options: tuple[str, ...]
-    workload_capable: bool
 
 
 def _normalize(name: str) -> str:
@@ -287,21 +261,26 @@ def _flag_type(default: Any, annotation: Any) -> Optional[type]:
     return None
 
 
+def _option_params(
+    runner: Callable[..., Any], reserved: Iterable[str]
+) -> list[inspect.Parameter]:
+    """The runner's named parameters outside ``reserved``."""
+    reserved = set(reserved)
+    varargs = (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
+    return [
+        p
+        for p in inspect.signature(runner).parameters.values()
+        if p.name not in reserved and p.kind not in varargs
+    ]
+
+
 def _derive_options(
     runner: Callable[..., Any], config_type: Optional[type]
 ) -> tuple[tuple[str, ...], tuple[str, ...], dict[str, tuple[type, Any]]]:
     """Inspect the runner signature for its option set and CLI flags."""
-    sig = inspect.signature(runner)
     options: list[str] = []
     cli: dict[str, tuple[type, Any]] = {}
-    for param in sig.parameters.values():
-        if param.name in _COMMON_PARAMS:
-            continue
-        if param.kind in (
-            inspect.Parameter.VAR_POSITIONAL,
-            inspect.Parameter.VAR_KEYWORD,
-        ):
-            continue
+    for param in _option_params(runner, _COMMON_PARAMS):
         options.append(param.name)
         typ = _flag_type(param.default, param.annotation)
         if typ is not None:
@@ -335,9 +314,6 @@ def register_allocator(
     default_mode: Optional[str] = None,
     sequential: bool = False,
     fault_tolerant: bool = False,
-    supports_multicontact: bool = False,
-    kernel_backed: bool = False,
-    workload_capable: bool = False,
     config_type: Optional[type] = None,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Record the decorated entry point in the global registry.
@@ -363,13 +339,7 @@ def register_allocator(
         options, config_fields, cli_options = _derive_options(
             runner, config_type
         )
-        if workload_capable and "workload" not in inspect.signature(
-            runner
-        ).parameters:
-            raise ValueError(
-                f"allocator {name!r} declares workload_capable but its "
-                f"runner takes no 'workload' keyword"
-            )
+        params = inspect.signature(runner).parameters
         spec = AllocatorSpec(
             name=name,
             runner=runner,
@@ -380,9 +350,7 @@ def register_allocator(
             default_mode=resolved_default,
             sequential=sequential,
             fault_tolerant=fault_tolerant,
-            supports_multicontact=supports_multicontact,
-            kernel_backed=kernel_backed,
-            workload_capable=workload_capable,
+            workload_capable="workload" in params,
             config_type=config_type,
             options=options,
             config_fields=config_fields,
@@ -407,65 +375,60 @@ def register_allocator(
     return decorator
 
 
-def register_replicator(
-    name: str,
-    *,
-    equivalent_mode: Optional[str] = "aggregate",
+def _attach(
+    name: str, slot: str, label: str, required: tuple[str, ...]
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Attach a trial-batched replication adapter to a registered spec.
-
-    Must run after the allocator's own :func:`register_allocator`
-    decoration (adapters live below their runner in the same module).
-    Flips the spec's ``trial_batched`` capability; the adapter's extra
-    keyword options and ``workload`` support are derived from its
-    signature, exactly as runner options are.
-
-    ``equivalent_mode`` names the execution mode whose sequential
-    per-seed loop the adapter reproduces bitwise (``None`` for
-    modeless allocators); the dispatching batch helpers refuse to
-    substitute the adapter under any other mode.
-    """
+    """Decorator setting ``slot`` (``replicator``/``dynamic``) of a
+    registered spec to an :class:`Adapter` around the decorated
+    function, whose signature must take every ``required`` parameter
+    and whose remaining keywords become the adapter's options."""
 
     def decorator(runner: Callable[..., Any]) -> Callable[..., Any]:
         key = _normalize(name)
         spec = _REGISTRY.get(key)
         if spec is None:
             raise ValueError(
-                f"cannot register replicator for unknown allocator {name!r}"
+                f"cannot register {label} for unknown allocator {name!r}"
             )
-        if equivalent_mode is not None and equivalent_mode not in spec.modes:
+        params = inspect.signature(runner).parameters
+        for param in required:
+            if param not in params:
+                raise ValueError(f"{label} for {name!r} must take {param!r}")
+        if not spec.workload_capable:
             raise ValueError(
-                f"replicator for {name!r} claims mode {equivalent_mode!r} "
-                f"but the spec supports {spec.modes!r}"
+                f"{label} for {name!r} takes workload= but the spec's "
+                f"runner does not"
             )
-        sig = inspect.signature(runner)
-        reserved = {"m", "n", "trials", "seed_seqs", "workload"}
+        if slot == "replicator" and "aggregate" not in spec.modes:
+            raise ValueError(
+                f"{label} for {name!r} reproduces mode 'aggregate' but "
+                f"the spec supports {spec.modes!r}"
+            )
         options = tuple(
-            p.name
-            for p in sig.parameters.values()
-            if p.name not in reserved
-            and p.kind
-            not in (
-                inspect.Parameter.VAR_POSITIONAL,
-                inspect.Parameter.VAR_KEYWORD,
-            )
+            p.name for p in _option_params(runner, {"m", "n", *required})
         )
-        workload_capable = "workload" in sig.parameters
-        if workload_capable and not spec.workload_capable:
-            raise ValueError(
-                f"replicator for {name!r} takes workload= but the spec "
-                f"is not workload_capable"
-            )
-        _REPLICATORS[key] = ReplicatorEntry(
-            runner=runner,
-            equivalent_mode=equivalent_mode,
-            options=options,
-            workload_capable=workload_capable,
+        _REGISTRY[key] = dataclasses.replace(
+            spec, **{slot: Adapter(runner=runner, options=options)}
         )
-        _REGISTRY[key] = dataclasses.replace(spec, trial_batched=True)
         return runner
 
     return decorator
+
+
+def register_replicator(
+    name: str,
+) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+    """Attach a trial-batched replication adapter to a registered spec.
+
+    Must run after the allocator's own :func:`register_allocator`
+    decoration (adapters live below their runner in the same module).
+    The adapter reproduces the spec's ``aggregate`` mode bitwise, per
+    trial, so the spec must list that mode; the dispatching batch
+    helpers substitute it only when a request resolves to it.
+    """
+    return _attach(
+        name, "replicator", "replicator", ("trials", "seed_seqs", "workload")
+    )
 
 
 def register_dynamic(
@@ -475,62 +438,21 @@ def register_dynamic(
 
     Must run after the allocator's own :func:`register_allocator`
     decoration (adapters live below their runner in the same module).
-    Flips the spec's ``dynamic_capable`` capability; the adapter's
-    extra keyword options and ``workload`` support are derived from
-    its signature, exactly as runner options are.
     """
-
-    def decorator(runner: Callable[..., Any]) -> Callable[..., Any]:
-        key = _normalize(name)
-        spec = _REGISTRY.get(key)
-        if spec is None:
-            raise ValueError(
-                f"cannot register dynamic adapter for unknown "
-                f"allocator {name!r}"
-            )
-        sig = inspect.signature(runner)
-        for required in ("initial_loads", "seed"):
-            if required not in sig.parameters:
-                raise ValueError(
-                    f"dynamic adapter for {name!r} must take "
-                    f"{required!r}"
-                )
-        reserved = {"m", "n", "initial_loads", "seed", "workload"}
-        options = tuple(
-            p.name
-            for p in sig.parameters.values()
-            if p.name not in reserved
-            and p.kind
-            not in (
-                inspect.Parameter.VAR_POSITIONAL,
-                inspect.Parameter.VAR_KEYWORD,
-            )
-        )
-        workload_capable = "workload" in sig.parameters
-        if workload_capable and not spec.workload_capable:
-            raise ValueError(
-                f"dynamic adapter for {name!r} takes workload= but the "
-                f"spec is not workload_capable"
-            )
-        _DYNAMICS[key] = DynamicEntry(
-            runner=runner,
-            options=options,
-            workload_capable=workload_capable,
-        )
-        _REGISTRY[key] = dataclasses.replace(spec, dynamic_capable=True)
-        return runner
-
-    return decorator
+    return _attach(
+        name, "dynamic", "dynamic adapter",
+        ("initial_loads", "seed", "workload"),
+    )
 
 
-def get_replicator(name: str) -> Optional[ReplicatorEntry]:
+def get_replicator(name: str) -> Optional[Adapter]:
     """The trial-batched adapter for an allocator, or None."""
-    return _REPLICATORS.get(resolve_name(name))
+    return get_spec(name).replicator
 
 
-def get_dynamic(name: str) -> Optional[DynamicEntry]:
+def get_dynamic(name: str) -> Optional[Adapter]:
     """The dynamic-placement adapter for an allocator, or None."""
-    return _DYNAMICS.get(resolve_name(name))
+    return get_spec(name).dynamic
 
 
 def _ensure_populated() -> None:
@@ -574,15 +496,15 @@ def list_allocators() -> list[AllocatorSpec]:
 
 
 def capable_allocators(capability: str) -> list[str]:
-    """Canonical names of the specs with a capability flag set.
+    """Canonical names of the specs with a capability set.
 
-    ``capability`` is a boolean :class:`AllocatorSpec` field name
+    ``capability`` is a boolean :class:`AllocatorSpec` attribute name
     (``workload_capable``, ``dynamic_capable``, ``trial_batched``, ...).
     """
     return [s.name for s in list_allocators() if getattr(s, capability)]
 
 
-def capability_note(capability: str, names: Optional[Iterable[str]] = None) -> str:
+def capability_note(capability: str) -> str:
     """The shared capability-rejection suffix of validation errors.
 
     Every layer that rejects an algorithm for a missing capability —
@@ -590,11 +512,8 @@ def capability_note(capability: str, names: Optional[Iterable[str]] = None) -> s
     adapter and workload checks, the service — ends its message with
     this same phrase, e.g. ``"workload-capable allocators: heavy,
     single, stemann"``, so users always see which algorithms *would*
-    work (consistency pinned by regression test).  ``names`` overrides
-    the registry scan for contexts with a narrower capable set (e.g.
-    workload support *within* dynamic runs).
+    work (consistency pinned by regression test).
     """
     label = capability.replace("_capable", "").replace("_", "-")
-    if names is None:
-        names = capable_allocators(capability)
-    return f"{label}-capable allocators: {', '.join(names)}"
+    names = ", ".join(capable_allocators(capability))
+    return f"{label}-capable allocators: {names}"

@@ -48,9 +48,6 @@ __all__ = ["run_parallel_dchoice"]
     summary="non-adaptive parallel d-choice collision protocol",
     paper_ref="baseline [ACMR98]",
     aliases=("parallel_dchoice", "adler"),
-    supports_multicontact=True,
-    kernel_backed=True,
-    workload_capable=True,
 )
 def run_parallel_dchoice(
     m: int,

@@ -34,7 +34,6 @@ __all__ = ["run_batched_dchoice"]
     summary="batched d-choice on stale loads",
     paper_ref="baseline [BCE+12]",
     aliases=("batched_dchoice",),
-    supports_multicontact=True,
 )
 def run_batched_dchoice(
     m: int,

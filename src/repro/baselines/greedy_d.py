@@ -71,7 +71,6 @@ def greedy_d_loads(
     paper_ref="baseline [ABKU99/BCSV06]",
     aliases=("greedy_d",),
     sequential=True,
-    supports_multicontact=True,
 )
 def run_greedy_d(
     m: int,

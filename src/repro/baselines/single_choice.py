@@ -42,8 +42,6 @@ __all__ = [
     paper_ref="baseline",
     aliases=("single_choice", "one_choice"),
     modes=("perball", "aggregate"),
-    kernel_backed=True,
-    workload_capable=True,
 )
 def run_single_choice(
     m: int,
@@ -120,7 +118,7 @@ def run_single_choice(
     )
 
 
-@register_replicator("single", equivalent_mode="aggregate")
+@register_replicator("single")
 def replicate_single_choice(
     m: int,
     n: int,

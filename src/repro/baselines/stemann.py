@@ -55,8 +55,6 @@ __all__ = ["dynamic_stemann", "replicate_stemann", "run_stemann"]
     summary="collision protocol with a fixed load bound",
     paper_ref="baseline [Ste96]",
     modes=("perball", "aggregate"),
-    kernel_backed=True,
-    workload_capable=True,
 )
 def run_stemann(
     m: int,
@@ -143,7 +141,7 @@ def run_stemann(
     )
 
 
-@register_replicator("stemann", equivalent_mode="aggregate")
+@register_replicator("stemann")
 def replicate_stemann(
     m: int,
     n: int,

@@ -181,8 +181,6 @@ def _waterfill_members(
     paper_ref="Theorem 3",
     aliases=("superbin", "asym"),
     modes=("perball", "aggregate"),
-    kernel_backed=True,
-    workload_capable=True,
     config_type=AsymmetricConfig,
 )
 def run_asymmetric(

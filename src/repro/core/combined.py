@@ -59,8 +59,6 @@ def should_use_trivial(m: int, n: int) -> bool:
     summary="Section 3 dispatcher: trivial for tiny n, else A_heavy",
     paper_ref="Section 3",
     modes=("perball", "aggregate", "engine"),
-    kernel_backed=True,
-    workload_capable=True,
     config_type=HeavyConfig,
 )
 def run_combined(
@@ -99,7 +97,7 @@ def run_combined(
     return result
 
 
-@register_replicator("combined", equivalent_mode="aggregate")
+@register_replicator("combined")
 def replicate_combined(
     m: int,
     n: int,

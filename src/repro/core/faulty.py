@@ -192,8 +192,6 @@ def parse_faults(text: Optional[str]) -> Optional[FaultModel]:
     paper_ref="extension (experiment A4)",
     aliases=("heavy_faulty",),
     fault_tolerant=True,
-    kernel_backed=True,
-    workload_capable=True,
 )
 def run_heavy_faulty(
     m: int,

@@ -289,8 +289,6 @@ def run_threshold_protocol(
     paper_ref="Theorem 1",
     aliases=("a_heavy",),
     modes=("perball", "aggregate", "engine"),
-    kernel_backed=True,
-    workload_capable=True,
     config_type=HeavyConfig,
 )
 def run_heavy(
@@ -604,7 +602,7 @@ def run_threshold_protocol_batched(
     return outcomes
 
 
-@register_replicator("heavy", equivalent_mode="aggregate")
+@register_replicator("heavy")
 def replicate_heavy(
     m: int,
     n: int,

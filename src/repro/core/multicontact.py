@@ -43,9 +43,6 @@ __all__ = ["run_heavy_multicontact"]
     summary="degree-d threshold algorithm on the paper's schedule",
     paper_ref="extension (experiment A3)",
     aliases=("heavy_multicontact",),
-    supports_multicontact=True,
-    kernel_backed=True,
-    workload_capable=True,
 )
 def run_heavy_multicontact(
     m: int,

@@ -36,8 +36,6 @@ __all__ = ["run_trivial"]
     "trivial",
     summary="deterministic n-round algorithm, max load ceil(m/n)",
     paper_ref="Section 3",
-    kernel_backed=True,
-    workload_capable=True,
 )
 def run_trivial(
     m: int,

@@ -27,12 +27,7 @@ from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
-from repro.api.spec import (
-    capability_note,
-    get_dynamic,
-    get_spec,
-    list_allocators,
-)
+from repro.api.spec import capability_note, get_spec
 from repro.dynamic.faults import FaultState, place_with_loss
 from repro.dynamic.state import ResidentState
 from repro.fastpath.backend import use_backend
@@ -43,31 +38,10 @@ from repro.workloads import Workload, WorkloadError, as_workload
 __all__ = ["ChurnOutcome", "ChurnStep"]
 
 
-def _resolve_entry(algorithm: str):
-    """The (spec, dynamic adapter) pair, or a clear capability error."""
-    spec = get_spec(algorithm)
-    entry = get_dynamic(spec.name)
-    if entry is None:
-        raise ValueError(
-            f"algorithm {spec.name!r} has no dynamic-placement adapter; "
-            + capability_note("dynamic_capable")
-        )
-    return spec, entry
-
-
-def _dynamic_workload_capable() -> list[str]:
-    """Allocators whose *dynamic adapter* accepts non-uniform workloads."""
-    return [
-        s.name
-        for s in list_allocators()
-        if s.dynamic_capable and get_dynamic(s.name).workload_capable
-    ]
-
-
-def _check_options(entry, algorithm: str, options: dict[str, Any]) -> None:
-    unknown = sorted(set(options) - set(entry.options))
+def _check_options(adapter, algorithm: str, options: dict[str, Any]) -> None:
+    unknown = sorted(set(options) - set(adapter.options))
     if unknown:
-        valid = ", ".join(entry.options) or "(none)"
+        valid = ", ".join(adapter.options) or "(none)"
         raise ValueError(
             f"unknown dynamic option(s) "
             f"{', '.join(repr(u) for u in unknown)} for algorithm "
@@ -75,19 +49,9 @@ def _check_options(entry, algorithm: str, options: dict[str, Any]) -> None:
         )
 
 
-def _resolve_workload(spec, entry, workload):
+def _resolve_workload(workload):
     wl = as_workload(workload)
-    if wl is None:
-        return None
-    if not entry.workload_capable:
-        raise ValueError(
-            f"algorithm {spec.name!r} supports the uniform workload "
-            f"only in dynamic runs (got workload {wl.describe()!r}); "
-            + capability_note(
-                "workload_capable", _dynamic_workload_capable()
-            )
-        )
-    if wl.weight != "unit":
+    if wl is not None and wl.weight != "unit":
         raise WorkloadError(
             "dynamic runs support unit ball weights only: departures "
             "remove specific resident balls, and aggregate-granularity "
@@ -99,14 +63,21 @@ def _resolve_workload(spec, entry, workload):
     return wl
 
 
-def _attack_workload(loads: np.ndarray, hot_frac: float) -> Workload:
+def _attack_workload(
+    loads: np.ndarray, hot_frac: float, failed: Optional[np.ndarray] = None
+) -> Workload:
     """The hotset adversary's contact distribution: the arriving
     cohort's contacts land uniformly on the currently hottest
     ``hot_frac`` fraction of bins (ties broken by bin index, so the
-    target set is deterministic in the loads)."""
+    target set is deterministic in the loads).  When every one of
+    those bins is in the ``failed`` mask, the attack aims at the
+    hottest *live* bins instead: quarantine would otherwise leave the
+    cohort no bin to contact."""
     n = loads.size
     n_hot = max(1, min(n - 1, math.ceil(hot_frac * n))) if n > 1 else n
     order = np.argsort(-loads, kind="stable")
+    if failed is not None and failed[order[:n_hot]].all():
+        order = order[~failed[order]]
     p = np.zeros(n, dtype=np.float64)
     p[order[:n_hot]] = 1.0 / n_hot
     return Workload.explicit(p)
@@ -150,12 +121,18 @@ class ChurnStep:
         attack: bool = False,
     ) -> None:
         self.residents = ResidentState(n, departures, hot_frac=hot_frac)
-        spec, self.entry = _resolve_entry(algorithm)
-        _check_options(self.entry, spec.name, options)
+        spec = get_spec(algorithm)
+        self.adapter = spec.dynamic
+        if self.adapter is None:
+            raise ValueError(
+                f"algorithm {spec.name!r} has no dynamic-placement "
+                f"adapter; " + capability_note("dynamic_capable")
+            )
+        _check_options(self.adapter, spec.name, options)
         self.algorithm = spec.name
-        self.workload = _resolve_workload(spec, self.entry, workload)
+        self.workload = _resolve_workload(workload)
         self.options = dict(options)
-        if "buffers" in self.entry.options and "buffers" not in options:
+        if "buffers" in self.adapter.options and "buffers" not in options:
             # One scratch arena shared by every step's placement: the
             # kernel steps reuse its buffers instead of reallocating
             # each round.  Value-preserving (the adapter narrows/chunks
@@ -169,7 +146,7 @@ class ChurnStep:
             or departures == "greedy_adversary"
             or (fault_model is not None and not fault_model.is_null)
         )
-        if degraded and "drain_settle" in self.entry.options:
+        if degraded and "drain_settle" in self.adapter.options:
             # Adversarially skewed residuals break the fresh-fill premise
             # of the load-oblivious phase-2 handoff: let the settle phase
             # drain the cohort below the population-average cap instead
@@ -189,12 +166,10 @@ class ChurnStep:
     def place(self, count: int, initial: np.ndarray, seed, workload):
         """One adapter call on the pinned kernel backend (value-identical
         across backends; wall clock only)."""
-        kwargs = dict(self.options)
-        if self.entry.workload_capable and workload is not None:
-            kwargs["workload"] = workload
         with use_backend(self.backend):
-            return self.entry.runner(
-                count, self.n, initial_loads=initial, seed=seed, **kwargs
+            return self.adapter.runner(
+                count, self.n, initial_loads=initial, seed=seed,
+                workload=workload, **self.options,
             )
 
     def cohort_workload(self, epoch: int, workload=None):
@@ -205,9 +180,12 @@ class ChurnStep:
         if self.attack and epoch > 0:
             # The fill is unattacked (every bin is equally cold); later
             # cohorts aim at the hottest bins after departures — the
-            # adaptive adversary.
+            # adaptive adversary — or at the hottest live ones when
+            # every target has failed.
             workload = _attack_workload(
-                self.residents.loads, self.residents.hot_frac
+                self.residents.loads,
+                self.residents.hot_frac,
+                self.fault.failed if self.fault is not None else None,
             )
         elif workload is None:
             workload = self.workload

@@ -113,7 +113,7 @@ class FaultState:
         p = p.copy()
         p[self.failed] = 0.0
         total = p.sum()
-        if total <= 0:  # pragma: no cover - failed_limit guards this
+        if total <= 0:
             raise RuntimeError(
                 "every bin carrying contact mass has failed; nothing "
                 "can accept placements"

@@ -7,16 +7,14 @@ the :data:`~repro.experiments.registry.EXPERIMENTS` table (listed by
 experiment's docstring cites the claim it reproduces.  Every
 experiment returns an
 :class:`~repro.experiments.report.ExperimentReport` with prediction and
-measurement columns; EXPERIMENTS.md archives one full run.
+measurement columns; :mod:`repro.experiments.export` generates an
+EXPERIMENTS.md document of one full run on demand.
 
 Run from the command line::
 
     python -m repro.experiments            # list experiments
     python -m repro.experiments T1         # run one (quick scale)
     python -m repro.experiments all --scale full
-
-or from the benchmarks (``pytest benchmarks/ --benchmark-only``), one
-bench per experiment.
 """
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment

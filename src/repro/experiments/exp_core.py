@@ -1,8 +1,9 @@
 """Experiments T1-T3, F1-F2: the symmetric algorithm's guarantees.
 
 The experiment index is ``repro.experiments.registry``.  Each function
-takes a ``scale`` ("quick" for CI/benchmarks, "full" for the archived
-EXPERIMENTS.md run) and a base seed.
+takes a ``scale`` ("quick" for CI and the tests, "full" for the
+EXPERIMENTS.md run :mod:`repro.experiments.export` generates on demand)
+and a base seed.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ objects instead of summaries.
 :func:`replicate_sharded` parallelizes the *trial axis* of the
 trial-batched replication engine: the ``trials=T`` pre-spawned seed
 children are cut into contiguous shards, each worker process runs its
-shard through :func:`repro.api.replicate.run_batched`, and the
+shard through :func:`repro.api.batch.run_batched`, and the
 ``(T, n)`` load matrix crosses the process boundary through one
 ``multiprocessing.shared_memory`` block instead of ``T`` pickled
 arrays.  Because trial ``t`` draws only from its own pre-spawned
@@ -176,7 +176,7 @@ def _replicate_shard(task: tuple) -> list:
     ) = task
     from multiprocessing import shared_memory
 
-    from repro.api.replicate import run_batched
+    from repro.api.batch import run_batched
     from repro.api.spec import get_spec
     from repro.fastpath.backend import use_backend
 
@@ -212,7 +212,7 @@ def replicate_sharded(
     """Trial-axis fan-out of the batched replication engine.
 
     Splits the pre-spawned seed children into ``workers`` contiguous
-    shards, runs each shard's :func:`repro.api.replicate.run_batched`
+    shards, runs each shard's :func:`repro.api.batch.run_batched`
     in its own process, and returns the stitched results in trial
     order.  The ``(trials, n)`` int64 load matrix travels through one
     :mod:`multiprocessing.shared_memory` block — workers write their
@@ -227,7 +227,7 @@ def replicate_sharded(
     """
     total = len(children)
     bounds = _shard_bounds(total, workers)
-    from repro.api.replicate import run_batched
+    from repro.api.batch import run_batched
     from repro.api.spec import get_spec
 
     if len(bounds) <= 1:

@@ -1,8 +1,8 @@
 """ASCII figure rendering for the F-series experiments.
 
 The paper's "figures" are reproduced as terminal plots so the harness
-has zero plotting dependencies and the archived EXPERIMENTS.md stays
-plain text.  Two chart types cover all the series we report:
+has zero plotting dependencies and the EXPERIMENTS.md document that
+:mod:`repro.experiments.export` generates stays plain text.  Two chart types cover all the series we report:
 
 * :func:`ascii_chart` — one or more named series over a shared x axis,
   rendered on a log or linear y scale;

@@ -261,8 +261,6 @@ def run_light(
     summary="A_light collision protocol (lightly loaded, cap 2)",
     paper_ref="Theorem 5",
     aliases=("a_light", "lw16"),
-    kernel_backed=True,
-    workload_capable=True,
     config_type=LightConfig,
 )
 def run_light_allocation(

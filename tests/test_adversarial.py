@@ -149,6 +149,34 @@ class TestHotsetAdversaryArrivals:
         # All tied: the stable argsort picks the lowest indices.
         assert set(np.flatnonzero(p > 0)) == {0, 1}
 
+    def test_attack_workload_keeps_live_targets(self):
+        loads = np.array([5, 9, 1, 7, 3, 2, 0, 4], dtype=np.int64)
+        failed = np.zeros(8, dtype=bool)
+        failed[1] = True  # one of the two hottest bins is down
+        p = _attack_workload(loads, 0.25, failed).pvals(8)
+        np.testing.assert_array_equal(p, _attack_workload(loads, 0.25).pvals(8))
+
+    def test_attack_workload_retargets_when_every_target_failed(self):
+        loads = np.array([5, 9, 1, 7, 3, 2, 0, 4], dtype=np.int64)
+        failed = np.zeros(8, dtype=bool)
+        failed[[1, 3]] = True  # both hottest bins are down
+        p = _attack_workload(loads, 0.25, failed).pvals(8)
+        # The hottest live bins, 0 (load 5) and 7 (load 4), take over.
+        assert set(np.flatnonzero(p > 0)) == {0, 7}
+        np.testing.assert_allclose(p[[0, 7]], 0.5)
+
+    def test_attack_with_every_target_failed_still_places(self):
+        # Both ceil(0.1 * 12) = 2 attacked bins fail; the cohort aims
+        # at the hottest live bins instead of having nowhere to go.
+        res = run_dynamic(
+            "heavy", 1_500, 12, seed=7, epochs=3, churn=0.3,
+            arrivals="hotset_adversary",
+            fault_model=FaultModel(0.05, 0.25, 0.02), mode="perball",
+        )
+        assert res.complete
+        assert [r.unplaced for r in res.records] == [0] * 4
+        assert res.records[-1].population == 1_500
+
     def test_run_dynamic_completes(self):
         res = run_dynamic(
             "heavy", 2_000, 16, seed=5, epochs=3, churn=0.2,
@@ -311,6 +339,13 @@ class TestFaultState:
         p = state.quarantined(wl, 4).pvals(4)
         assert p[0] == 0.0
         np.testing.assert_allclose(p[1:], np.array([0.3, 0.2, 0.1]) / 0.6)
+
+    def test_quarantined_rejects_mass_only_on_failed_bins(self):
+        state = FaultState(4, FAULTY)
+        state.failed[[0, 1]] = True
+        wl = Workload.explicit(np.array([0.5, 0.5, 0.0, 0.0]))
+        with pytest.raises(RuntimeError, match="every bin carrying"):
+            state.quarantined(wl, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,100 @@ class TestRegistryCompleteness:
         assert "stop_factor" in heavy.config_fields
 
 
+@pytest.fixture
+def scratch_registry(monkeypatch):
+    """The registry module with its tables swapped for copies, so a
+    throwaway registration never outlives its test."""
+    import repro.api.spec as spec_mod
+
+    monkeypatch.setattr(spec_mod, "_REGISTRY", dict(spec_mod._REGISTRY))
+    monkeypatch.setattr(spec_mod, "_ALIASES", dict(spec_mod._ALIASES))
+    return spec_mod
+
+
+def _toy_runner(m, n, *, seed=None, mode="perball", workload=None, d=2):
+    raise AssertionError("registration never calls the runner")
+
+
+def _toy_replicator(m, n, *, trials, seed_seqs, workload=None, extra=1):
+    raise AssertionError("registration never calls the adapter")
+
+
+def _toy_dynamic(m, n, *, initial_loads, seed=None, workload=None, knob=0):
+    raise AssertionError("registration never calls the adapter")
+
+
+class TestRegistrationRules:
+    def test_capabilities_derived_from_signatures(self, scratch_registry):
+        reg = scratch_registry
+        reg.register_allocator(
+            "toy", summary="toy", modes=("perball", "aggregate")
+        )(_toy_runner)
+        spec = reg.get_spec("toy")
+        assert spec.workload_capable and spec.supports_multicontact
+        assert not spec.trial_batched and not spec.dynamic_capable
+        reg.register_replicator("toy")(_toy_replicator)
+        reg.register_dynamic("toy")(_toy_dynamic)
+        spec = reg.get_spec("toy")
+        assert spec.trial_batched and spec.dynamic_capable
+        assert spec.replicator.runner is _toy_replicator
+        assert spec.replicator.options == ("extra",)
+        assert reg.get_dynamic("toy") is spec.dynamic
+        assert spec.dynamic.options == ("knob",)
+        assert spec.capabilities() == (
+            "workload", "trial_batched", "dynamic", "multicontact"
+        )
+
+        def plain(m, n, *, seed=None):
+            raise AssertionError
+
+        reg.register_allocator("toy_plain", summary="toy")(plain)
+        spec = reg.get_spec("toy_plain")
+        assert not spec.workload_capable and not spec.supports_multicontact
+
+    def test_adapter_for_unknown_allocator(self, scratch_registry):
+        with pytest.raises(ValueError, match="unknown allocator 'nope'"):
+            scratch_registry.register_replicator("nope")(_toy_replicator)
+        with pytest.raises(ValueError, match="unknown allocator 'nope'"):
+            scratch_registry.register_dynamic("nope")(_toy_dynamic)
+
+    def test_adapter_without_workload(self, scratch_registry):
+        reg = scratch_registry
+        reg.register_allocator(
+            "toy", summary="toy", modes=("perball", "aggregate")
+        )(_toy_runner)
+
+        def no_workload(m, n, *, initial_loads, seed=None):
+            raise AssertionError
+
+        with pytest.raises(ValueError, match="must take 'workload'"):
+            reg.register_dynamic("toy")(no_workload)
+        assert not reg.get_spec("toy").dynamic_capable
+
+    def test_replicator_requires_aggregate_mode(self, scratch_registry):
+        reg = scratch_registry
+        reg.register_allocator("toy", summary="toy", modes=("perball",))(
+            _toy_runner
+        )
+        with pytest.raises(ValueError, match="'aggregate'"):
+            reg.register_replicator("toy")(_toy_replicator)
+        assert not reg.get_spec("toy").trial_batched
+
+    def test_duplicate_name_with_different_runner(self, scratch_registry):
+        def other(m, n, *, seed=None):
+            raise AssertionError
+
+        with pytest.raises(ValueError, match="already registered"):
+            scratch_registry.register_allocator("heavy", summary="x")(other)
+        assert get_spec("heavy").runner is repro.run_heavy
+
+    def test_alias_collision(self, scratch_registry):
+        with pytest.raises(ValueError, match="already claimed by 'heavy'"):
+            scratch_registry.register_allocator(
+                "toy", summary="toy", aliases=("a_heavy",)
+            )(_toy_runner)
+
+
 class TestOptionValidation:
     def test_unknown_option_rejected_with_valid_list(self):
         with pytest.raises(ValueError, match="bogus.*valid options"):
@@ -323,6 +417,34 @@ class TestBatchExecution:
         with pytest.raises(ValueError, match="at least one point"):
             sweep("single", [], seed=1)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trial_batched", [None, False])
+    @pytest.mark.parametrize("batch", ["allocate_many", "sweep"])
+    def test_backend_pinned_on_every_batch_path(
+        self, batch, trial_batched, workers
+    ):
+        """``backend=`` reaches the trial-batched engine (in process
+        and in shard workers) as well as the per-seed loop."""
+
+        def run(**backend):
+            if batch == "allocate_many":
+                return allocate_many(
+                    "heavy", 1000, 16, repeats=2, seed=1, workers=workers,
+                    trial_batched=trial_batched, **backend,
+                )
+            return sweep(
+                "heavy", [(1000, 16)], repeats=2, seed=1, workers=workers,
+                trial_batched=trial_batched, **backend,
+            )
+
+        pinned = run(backend="reference")
+        ambient = run()
+        assert [r.extra["api"]["backend"] for r in pinned] == ["reference"] * 2
+        batched = [r.extra["api"].get("trial_batched", False) for r in pinned]
+        assert batched == [trial_batched is None] * 2
+        for a, b in zip(pinned, ambient):
+            assert np.array_equal(a.loads, b.loads)
+
 
 class TestSerialization:
     def test_round_trip_through_json(self):
@@ -409,32 +531,20 @@ class TestKernelCapability:
     def test_kernel_capability_listed(self, capsys):
         from repro.__main__ import main
 
+        # The round-kernel protocols are the workload-capable ones, so
+        # the listing's workload column is the kernel capability.
         assert main(["list"]) == 0
-        assert "kernel" in capsys.readouterr().out
+        assert "workload" in capsys.readouterr().out.splitlines()[0]
 
     def test_vectorized_specs_are_kernel_backed(self):
         # Every spec with an aggregate mode must run on the shared
         # RoundState kernels (the acceptance bar of ISSUE 2).
         for spec in repro.list_allocators():
             if "aggregate" in spec.modes:
-                assert spec.kernel_backed, spec.name
+                assert spec.workload_capable, spec.name
         # ... and so are the perball-only protocols refactored onto it.
         for name in ("light", "trivial", "faulty", "multicontact", "dchoice"):
-            assert repro.get_spec(name).kernel_backed, name
-
-    def test_sequential_and_batched_not_kernel_backed(self):
-        assert not repro.get_spec("greedy").kernel_backed
-        assert not repro.get_spec("batched").kernel_backed
-
-    def test_auto_upgrade_requires_kernel_flag(self):
-        from dataclasses import replace
-
-        from repro.api import AGGREGATE_THRESHOLD, resolve_mode
-
-        spec = repro.get_spec("heavy")
-        assert resolve_mode(spec, AGGREGATE_THRESHOLD, "auto") == "aggregate"
-        unflagged = replace(spec, kernel_backed=False)
-        assert resolve_mode(unflagged, AGGREGATE_THRESHOLD, "auto") == "perball"
+            assert repro.get_spec(name).workload_capable, name
 
     def test_stemann_gained_aggregate_mode(self):
         res = allocate("stemann", AGGREGATE_THRESHOLD, 256, seed=SEED)
@@ -530,12 +640,14 @@ class TestCapabilityNotes:
         ]
 
     def test_capability_note_format(self):
-        from repro.api import capability_note
+        from repro.api import capability_note, capable_allocators
 
-        note = capability_note("workload_capable", ["a", "b"])
-        assert note == "workload-capable allocators: a, b"
-        assert capability_note("dynamic_capable", ["x"]).startswith(
-            "dynamic-capable allocators:"
+        note = capability_note("workload_capable")
+        assert note == "workload-capable allocators: " + ", ".join(
+            capable_allocators("workload_capable")
+        )
+        assert capability_note("dynamic_capable") == (
+            "dynamic-capable allocators: combined, heavy, single, stemann"
         )
 
     def test_dispatch_error_carries_note(self):

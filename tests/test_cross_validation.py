@@ -316,7 +316,7 @@ class TestWorkloadCompatibility:
     def test_all_ten_kernel_backed_protocols_covered(self):
         covered = {c[0] for c in self.KERNEL_CASES}
         kernel_backed = {
-            s.name for s in repro.list_allocators() if s.kernel_backed
+            s.name for s in repro.list_allocators() if s.workload_capable
         }
         assert covered == kernel_backed
 

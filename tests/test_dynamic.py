@@ -528,6 +528,32 @@ class TestDispatchAndValidation:
         )
         assert res.workload is None
 
+    def test_adapter_runner_swap_reaches_both_entry_points(self):
+        """The benchmark's layer tracer swaps the registered adapter's
+        ``runner`` in place; both churn entry points must read it at
+        call time, through the very object ``get_dynamic`` returns."""
+        from repro.service import AllocatorService
+
+        adapter = get_dynamic("heavy")
+        original = vars(adapter)["runner"]
+        cohorts = []
+
+        def spy(m, *args, **kwargs):
+            cohorts.append(m)
+            return original(m, *args, **kwargs)
+
+        # A service built before the swap must still see it.
+        svc = AllocatorService("heavy", 16, seed=1, auto_flush=False)
+        object.__setattr__(adapter, "runner", spy)
+        try:
+            run_dynamic("heavy", 2000, 16, seed=1, epochs=2, churn=0.25)
+            svc.place(300)
+            svc.flush()
+        finally:
+            object.__setattr__(adapter, "runner", original)
+        assert get_dynamic("heavy").runner is original
+        assert cohorts == [2000, 500, 500, 300]
+
 
 class TestAdapters:
     def test_empty_cohort_is_noop(self):

@@ -60,9 +60,6 @@ class TestRegistry:
             assert not spec.trial_batched, spec.name
             assert get_replicator(spec.name) is None, spec.name
 
-    def test_equivalent_modes(self):
-        assert get_replicator("heavy").equivalent_mode == "aggregate"
-
 
 class TestEquivalence:
     """replicate(trials=T, seed=s) == allocate_many(repeats=T, seed=s)."""
@@ -86,7 +83,6 @@ class TestEquivalence:
     @pytest.mark.parametrize("workload", [None, WL])
     def test_matches_sequential_loop_exactly(self, name, m, n, workload):
         """The substantive check: batched vs the true per-seed loop."""
-        entry = get_replicator(name)
         opts = {"workload": workload} if workload else {}
         rep = replicate(name, m, n, trials=TRIALS, seed=SEED, **opts)
         seq = allocate_many(
@@ -95,7 +91,7 @@ class TestEquivalence:
             n,
             repeats=TRIALS,
             seed=SEED,
-            mode=entry.equivalent_mode,
+            mode="aggregate",
             trial_batched=False,
             **opts,
         )
