@@ -22,7 +22,7 @@ from repro.api.spec import (
     register_dynamic,
     register_replicator,
 )
-from repro.dynamic.placement import DynamicPlacement
+from repro.dynamic.placement import DynamicPlacement, check_mode
 from repro.fastpath.roundstate import RoundState
 from repro.result import AllocationResult
 from repro.utils.seeding import RngFactory
@@ -209,6 +209,7 @@ def dynamic_single_choice(
         raise ValueError(
             f"initial_loads must have shape ({n},), got {initial.shape}"
         )
+    check_mode(mode)
     if m == 0:
         return DynamicPlacement(
             loads=initial.copy(),

@@ -40,7 +40,7 @@ from repro.api.spec import (
     register_dynamic,
     register_replicator,
 )
-from repro.dynamic.placement import DynamicPlacement
+from repro.dynamic.placement import DynamicPlacement, check_mode
 from repro.fastpath.roundstate import RoundState
 from repro.result import AllocationResult
 from repro.utils.seeding import RngFactory
@@ -248,6 +248,11 @@ def dynamic_stemann(
         raise ValueError(
             f"initial_loads must have shape ({n},), got {initial.shape}"
         )
+    check_mode(mode)
+    if collision_factor <= 1.0:
+        raise ValueError(
+            f"collision_factor must be > 1, got {collision_factor}"
+        )
     if m == 0:
         return DynamicPlacement(
             loads=initial.copy(),
@@ -257,10 +262,6 @@ def dynamic_stemann(
             total_messages=0,
         )
     m, n = ensure_m_n(m, n)
-    if collision_factor <= 1.0:
-        raise ValueError(
-            f"collision_factor must be > 1, got {collision_factor}"
-        )
     total = m + int(initial.sum())
     bound = math.ceil(collision_factor * math.ceil(total / n))
     factory = RngFactory(seed)

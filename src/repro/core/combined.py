@@ -30,7 +30,7 @@ from repro.core.heavy import (
     run_heavy,
 )
 from repro.core.trivial import run_trivial
-from repro.dynamic.placement import DynamicPlacement
+from repro.dynamic.placement import DynamicPlacement, check_mode
 from repro.result import AllocationResult
 from repro.utils.logstar import loglog2
 from repro.utils.validation import ensure_m_n
@@ -207,6 +207,7 @@ def dynamic_combined(
         raise ValueError(
             f"initial_loads must have shape ({n},), got {initial.shape}"
         )
+    check_mode(mode)
     if m == 0:
         return DynamicPlacement(
             loads=initial.copy(),

@@ -42,8 +42,7 @@ from repro.api.spec import (
     register_replicator,
 )
 from repro.core.thresholds import PaperSchedule, ThresholdSchedule
-from repro.dynamic.placement import DynamicPlacement
-from repro.fastpath.buffers import DtypePolicy, RoundBuffers
+from repro.dynamic.placement import DynamicPlacement, check_mode
 from repro.fastpath.roundstate import RoundState
 from repro.light.lw16 import LightConfig
 from repro.light.virtual import run_light_on_virtual_bins
@@ -65,31 +64,6 @@ __all__ = [
 ]
 
 Mode = Literal["perball", "aggregate", "engine"]
-
-
-def _memory_plan(
-    m: int,
-    n: int,
-    chunk_size: Optional[int],
-    buffers: Optional[RoundBuffers],
-    base: int = 0,
-) -> tuple[Optional[RoundBuffers], Optional[DtypePolicy]]:
-    """Resolve the (arena, dtype policy) pair for one kernel run.
-
-    ``chunk_size`` without an arena creates one sized to that tile;
-    engaging the memory path (either way) also narrows the storage
-    dtypes wherever the instance fits.  Both are value-preserving —
-    the scaling-equivalence tests pin bitwise identity with the
-    default path — so there is no separate opt-in for narrowing.
-
-    ``base`` is the residual population already in the bins (dynamic
-    placement): per-bin loads are bounded by the *population*
-    ``m + base``, not the cohort, so narrowing must budget for it.
-    """
-    if buffers is None and chunk_size is not None:
-        buffers = RoundBuffers(chunk_size)
-    policy = DtypePolicy.narrow(m + base, n) if buffers is not None else None
-    return buffers, policy
 
 
 @dataclass(frozen=True)
@@ -147,7 +121,6 @@ def run_threshold_protocol(
     skip_saturated_rounds: bool = False,
     start_round: int = 0,
     chunk_size: Optional[int] = None,
-    buffers: Optional[RoundBuffers] = None,
 ) -> ThresholdPhaseOutcome:
     """Run the symmetric threshold protocol under any oblivious schedule.
 
@@ -187,12 +160,10 @@ def run_threshold_protocol(
     had).  All three default to the historical behavior, bitwise.
 
     Memory path: ``chunk_size`` streams per-ball choice draws through
-    bounded tiles into a :class:`~repro.fastpath.buffers.RoundBuffers`
-    arena (pass ``buffers`` to share an existing arena across runs,
-    e.g. from the dynamic epoch loop), and either engages the
-    int32-narrowing :class:`~repro.fastpath.buffers.DtypePolicy`.
-    Loads returned in the outcome are widened back to int64 so every
-    downstream consumer sees the historical dtype; the values are
+    bounded tiles and stores indices and loads as int32 where the
+    population fits (``RoundState(chunk_size=...)``).  Loads returned
+    in the outcome are widened back to int64 so every downstream
+    consumer sees the historical dtype; the values are
     bitwise-identical either way.
     """
     m, n = ensure_m_n(m, n, require_heavy=initial_loads is None)
@@ -208,8 +179,6 @@ def run_threshold_protocol(
     if planned is not None:
         cap_rounds = min(cap_rounds, planned)
 
-    base = 0 if initial_loads is None else int(np.sum(initial_loads))
-    arena, policy = _memory_plan(m, n, chunk_size, buffers, base)
     state = RoundState(
         m,
         n,
@@ -218,8 +187,7 @@ def run_threshold_protocol(
         weights=bound.weights,
         weight_sum_sampler=bound.weight_sum_sampler,
         initial_loads=initial_loads,
-        buffers=arena,
-        dtype_policy=policy,
+        chunk_size=chunk_size,
     )
     thresholds: list[int] = []
 
@@ -269,8 +237,8 @@ def run_threshold_protocol(
         )
 
     return ThresholdPhaseOutcome(
-        # Widen narrow-policy loads back to the historical int64 at the
-        # boundary (no copy on the default path).
+        # Widen chunked-run int32 loads back to the historical int64 at
+        # the boundary (no copy on the default path).
         loads=state.loads.astype(np.int64, copy=False),
         remaining=state.active_count,
         remaining_ids=state.active,
@@ -302,7 +270,6 @@ def run_heavy(
     handoff: bool = True,
     workload: Optional[Workload] = None,
     chunk_size: Optional[int] = None,
-    buffers: Optional[RoundBuffers] = None,
 ) -> AllocationResult:
     """Allocate ``m`` balls into ``n`` bins with Algorithm ``A_heavy``.
 
@@ -339,19 +306,14 @@ def run_heavy(
         uniform workload only.
     chunk_size:
         Per-ball memory path: stream phase-1 choice draws through
-        tiles of this many elements into a reused arena, with int32
-        narrowing where the instance fits (see
-        :mod:`repro.fastpath.buffers`).  Values are bitwise-identical
-        to the default path; with
+        tiles of this many elements into a fresh array, with int32
+        storage where the instance fits (see
+        :func:`repro.fastpath.narrow_dtypes`).  Values are
+        bitwise-identical to the default path; with
         ``config=HeavyConfig(track_per_ball=False)`` this is what
         makes one-shot ``m = 10**8`` per-ball runs fit in a few GB
         (see ``docs/performance.md``).  Ignored by aggregate/engine
         kernels (they never allocate per-ball arrays).
-    buffers:
-        Share an existing :class:`~repro.fastpath.buffers.RoundBuffers`
-        arena across runs (long-lived callers: the dynamic epoch loop,
-        the allocator service).  Implies the same value-preserving
-        dtype narrowing as ``chunk_size``.
 
     Returns
     -------
@@ -387,7 +349,6 @@ def run_heavy(
         track_per_ball=config.track_per_ball,
         workload=bound,
         chunk_size=chunk_size,
-        buffers=buffers,
     )
     algorithm = (
         "heavy" if schedule is None else f"threshold[{type(sched).__name__}]"
@@ -667,7 +628,6 @@ def dynamic_heavy(
     settle_rounds: int = 2,
     drain_settle: bool = False,
     chunk_size: Optional[int] = None,
-    buffers: Optional[RoundBuffers] = None,
 ) -> DynamicPlacement:
     """Place a cohort of ``m`` new balls against residual bin loads.
 
@@ -710,10 +670,9 @@ def dynamic_heavy(
     from their own ``("dynamic", "settle")`` stream, so enabling them
     perturbs no phase-1 or light draw).
 
-    ``buffers``/``chunk_size`` engage the value-preserving memory path
-    (see :func:`run_heavy`); the epoch loop in
-    :mod:`repro.dynamic.runner` passes one shared arena so repeated
-    epochs stop churning the allocator.
+    ``chunk_size`` engages the value-preserving memory path (see
+    :func:`run_heavy`) for the threshold and settle rounds alike; both
+    budget their int32 storage for the whole population.
     """
     initial = np.asarray(initial_loads, dtype=np.int64)
     if initial.shape != (n,):
@@ -724,6 +683,9 @@ def dynamic_heavy(
         raise ValueError(
             f"settle_rounds must be >= 0, got {settle_rounds}"
         )
+    check_mode(mode)
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if m == 0:
         return DynamicPlacement(
             loads=initial.copy(),
@@ -760,7 +722,6 @@ def dynamic_heavy(
         skip_saturated_rounds=True,
         start_round=start,
         chunk_size=chunk_size,
-        buffers=buffers,
     )
     loads = phase1.loads.copy()
     rounds = phase1.rounds
@@ -783,9 +744,6 @@ def dynamic_heavy(
             if bound.weights is not None and straggler_ids is not None
             else None
         )
-        arena, policy = _memory_plan(
-            unplaced, n, chunk_size, buffers, base=total - unplaced
-        )
         state = RoundState(
             unplaced,
             n,
@@ -793,8 +751,7 @@ def dynamic_heavy(
             initial_loads=loads,
             weights=settle_weights,
             weight_sum_sampler=bound.weight_sum_sampler,
-            buffers=arena,
-            dtype_policy=policy,
+            chunk_size=chunk_size,
         )
         settle_rng = factory.stream("dynamic", "settle")
         settle_accept = factory.stream("dynamic", "settle", "accept")
@@ -828,7 +785,7 @@ def dynamic_heavy(
                     stale = 0
                     prev_active = state.active_count
         # ``state`` copied ``loads`` at construction, so this is a
-        # private array already; widen narrow-policy loads to int64.
+        # private array already; widen chunked-run loads to int64.
         loads = state.loads.astype(np.int64, copy=False)
         rounds += state.rounds
         messages += int(state.total_messages)

@@ -31,7 +31,6 @@ from repro.api.spec import capability_note, get_spec
 from repro.dynamic.faults import FaultState, place_with_loss
 from repro.dynamic.state import ResidentState
 from repro.fastpath.backend import use_backend
-from repro.fastpath.buffers import RoundBuffers
 from repro.utils.seeding import RngFactory
 from repro.workloads import Workload, WorkloadError, as_workload
 
@@ -132,12 +131,6 @@ class ChurnStep:
         self.algorithm = spec.name
         self.workload = _resolve_workload(workload)
         self.options = dict(options)
-        if "buffers" in self.adapter.options and "buffers" not in options:
-            # One scratch arena shared by every step's placement: the
-            # kernel steps reuse its buffers instead of reallocating
-            # each round.  Value-preserving (the adapter narrows/chunks
-            # without changing any draw), so this is unconditional.
-            self.options["buffers"] = RoundBuffers()
         self.fault = (
             FaultState(n, fault_model) if fault_model is not None else None
         )

@@ -18,7 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DynamicPlacement"]
+__all__ = ["DynamicPlacement", "check_mode"]
+
+
+def check_mode(mode) -> None:
+    """Reject a granularity the round kernels do not run.  Adapters
+    call this before their empty-cohort return, so a bad ``mode``
+    fails on the first call, not on the first non-empty cohort."""
+    if mode not in ("perball", "aggregate"):
+        raise ValueError(
+            f"mode must be 'perball' or 'aggregate', got {mode!r}"
+        )
 
 
 @dataclass

@@ -49,17 +49,16 @@ from repro.fastpath.backend import (
     resolve_backend,
     use_backend,
 )
-from repro.fastpath.buffers import DEFAULT_CHUNK, DtypePolicy, RoundBuffers
 from repro.fastpath.roundstate import (
     AcceptDecision,
     ContactBatch,
     RoundOutcome,
     RoundState,
+    narrow_dtypes,
     priority_commit_accept,
 )
 from repro.fastpath.sampling import (
     fill_choices,
-    fill_priorities,
     grouped_accept,
     grouped_accept_with_priorities,
     multinomial_occupancy,
@@ -74,22 +73,19 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "ContactBatch",
     "DEFAULT_BACKEND",
-    "DEFAULT_CHUNK",
-    "DtypePolicy",
     "FusedBackend",
     "KernelBackend",
     "ReferenceBackend",
-    "RoundBuffers",
     "RoundOutcome",
     "RoundState",
     "available_backends",
     "fill_choices",
-    "fill_priorities",
     "grouped_accept",
     "grouped_accept_with_priorities",
     "get_backend",
     "multinomial_occupancy",
     "multinomial_occupancy_batched",
+    "narrow_dtypes",
     "priority_commit_accept",
     "register_backend",
     "resolve_backend",

@@ -94,7 +94,6 @@ from typing import Any, Literal, Optional, Sequence
 import numpy as np
 
 from repro.fastpath.backend import BackendLike, resolve_backend
-from repro.fastpath.buffers import DtypePolicy, RoundBuffers
 from repro.telemetry import current_telemetry
 from repro.fastpath.sampling import (
     fill_choices,
@@ -111,10 +110,31 @@ __all__ = [
     "Granularity",
     "RoundOutcome",
     "RoundState",
+    "narrow_dtypes",
     "priority_commit_accept",
 ]
 
 Granularity = Literal["perball", "aggregate"]
+
+#: Largest exclusive value an int32 index/count can represent.
+_INT32_LIMIT = 2**31
+
+
+def narrow_dtypes(population: int, n: int) -> tuple[np.dtype, np.dtype]:
+    """Storage dtypes ``(index_dtype, load_dtype)`` of a chunked run.
+
+    Bin indices need ``n < 2**31``; ball ids and per-bin loads are
+    bounded by the ``population`` (the run's balls plus the residents
+    already in the bins), so ``population < 2**31`` covers both.  An
+    axis beyond its bound keeps int64 — narrowing is per-axis, never
+    all-or-nothing.  Draws always happen at int64/float64 width, so
+    narrowing changes storage only, never a value.
+    """
+    fits_ids = 0 <= population < _INT32_LIMIT
+    fits_bins = 0 < n < _INT32_LIMIT
+    index_dtype = np.dtype(np.int32 if fits_ids and fits_bins else np.int64)
+    load_dtype = np.dtype(np.int32 if fits_ids else np.int64)
+    return index_dtype, load_dtype
 
 
 @dataclass
@@ -312,18 +332,14 @@ class RoundState:
     ``placed_loads`` reports their intake separately.  See the module
     docstring and :mod:`repro.dynamic`.
 
-    Memory policy: ``buffers=`` (a
-    :class:`~repro.fastpath.buffers.RoundBuffers` arena) makes the
-    kernel steps draw choices and accept priorities into reused
-    storage through a bounded sampling tile, and ``dtype_policy=`` (a
-    :class:`~repro.fastpath.buffers.DtypePolicy`) narrows bin indices,
-    ball ids, and per-bin counts to int32 where the instance fits.
-    Neither changes a drawn value: draws stay at the historical widths
-    and only storage narrows, so loads, messages, and metrics are
-    bitwise-identical to the default run (the scaling-equivalence
-    tests pin this).  Long-lived callers (the dynamic epoch loop, the
-    allocator service) share one arena across epochs/flushes to stop
-    churning the allocator.
+    Chunked storage: ``chunk_size=`` draws each round's per-ball
+    choices tile by tile (at most ``chunk_size`` elements per draw, see
+    :func:`~repro.fastpath.sampling.fill_choices`) into a fresh array,
+    and stores bin indices, ball ids, and per-bin loads as int32 where
+    the population fits (:func:`narrow_dtypes`).  Neither changes a
+    drawn value: draws stay at the historical widths and only storage
+    narrows, so loads, messages, and metrics are bitwise-identical to
+    the default run (the scaling-equivalence tests pin this).
 
     Kernel backend: ``backend=`` pins which implementation of the
     grouping/commit/scatter primitives the state runs on
@@ -347,12 +363,13 @@ class RoundState:
         weights: Optional[np.ndarray] = None,
         weight_sum_sampler=None,
         initial_loads: Optional[np.ndarray] = None,
-        buffers: Optional[RoundBuffers] = None,
-        dtype_policy: Optional[DtypePolicy] = None,
+        chunk_size: Optional[int] = None,
         backend: BackendLike = None,
     ) -> None:
         if m < 0 or n < 1:
             raise ValueError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if granularity not in ("perball", "aggregate"):
             raise ValueError(
                 f"granularity must be 'perball' or 'aggregate', "
@@ -384,12 +401,7 @@ class RoundState:
         self.n = n
         self.granularity: Granularity = granularity
         self.trials = trials
-        # Memory policy: the arena (reused scratch across rounds and
-        # across runs) and the array widths.  Both default to the
-        # historical behavior — fresh allocations, int64/float64 — and
-        # neither changes a single drawn value (see
-        # :mod:`repro.fastpath.buffers`).
-        self.buffers = buffers
+        self.chunk_size = chunk_size
         # Kernel backend: resolved once at construction (explicit arg >
         # use_backend context > REPRO_KERNEL_BACKEND env > "fused"), so
         # a state's whole lifetime runs on one value-identical
@@ -398,9 +410,6 @@ class RoundState:
         # Telemetry sink, captured once: every per-round hook below is
         # a single ``is not None`` branch when telemetry is off.
         self._telemetry = current_telemetry()
-        self.dtype_policy = dtype_policy or DtypePolicy.wide()
-        self._index_dtype = self.dtype_policy.index_dtype
-        self._load_dtype = self.dtype_policy.load_dtype
         # Residual occupancy: ``loads`` starts at the residents' per-bin
         # counts (zero for the classic one-shot run).  Kept as its own
         # array so protocols can report the placement delta
@@ -427,6 +436,17 @@ class RoundState:
                     f"initial_loads must have shape ({n},), "
                     f"got {base.shape}"
                 )
+        # Storage widths: int64 by default; a chunked run narrows to
+        # int32 wherever the population — this run's balls plus the
+        # residents — fits.
+        if chunk_size is None:
+            self._index_dtype = self._load_dtype = np.dtype(np.int64)
+        else:
+            residents = 0 if initial_loads is None else int(base.sum())
+            self._index_dtype, self._load_dtype = narrow_dtypes(
+                m + residents, n
+            )
+        if initial_loads is not None:
             self.initial_loads: Optional[np.ndarray] = base.astype(
                 self._load_dtype, copy=True
             )
@@ -471,9 +491,7 @@ class RoundState:
                 "per-ball runs take the weights array instead"
             )
         if weights is not None:
-            weights = np.asarray(
-                weights, dtype=self.dtype_policy.weight_dtype
-            )
+            weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (m,):
                 raise ValueError(
                     f"weights must have shape ({m},), got {weights.shape}"
@@ -483,7 +501,7 @@ class RoundState:
         if weights is not None or weight_sum_sampler is not None:
             shape = (trials, n) if trials is not None else (n,)
             self.weighted_loads: Optional[np.ndarray] = np.zeros(
-                shape, dtype=self.dtype_policy.weight_dtype
+                shape, dtype=np.float64
             )
         else:
             self.weighted_loads = None
@@ -638,24 +656,19 @@ class RoundState:
                     f"targets has {choices.size} entries, expected "
                     f"active_count * d = {u} * {d}"
                 )
-        elif self.buffers is not None:
-            # Arena path: the same draws land in reused storage (at the
-            # policy's index width) through a bounded sampling tile —
-            # the memory shape of a chunked 10^8-ball round.
+        elif self.chunk_size is not None:
+            # Chunked path: the same draws, one bounded tile at a time,
+            # stored at the narrowed index width — the memory shape of
+            # a 10^8-ball round.
             choices = fill_choices(
-                self.buffers.take("choices", u * d, self._index_dtype),
+                np.empty(u * d, dtype=self._index_dtype),
                 space,
                 rng,
                 pvals,
-                chunk_size=self.buffers.chunk_size,
+                chunk_size=self.chunk_size,
             )
         else:
             choices = sample_choices(u * d, space, rng, pvals)
-            if choices.dtype != self._index_dtype:
-                # Value-preserving narrowing: the draw happened at the
-                # historical int64 width (identical stream); only the
-                # storage narrows.
-                choices = choices.astype(self._index_dtype)
         requester_pos = (
             np.repeat(np.arange(u, dtype=np.int64), d) if d > 1 else None
         )
@@ -713,16 +726,12 @@ class RoundState:
                 accepted = np.zeros(k, dtype=bool)
                 if delivered.any():
                     sub = grouped_accept(
-                        choices[delivered],
-                        capacity,
-                        rng,
-                        self.buffers,
-                        backend=self.backend,
+                        choices[delivered], capacity, rng, backend=self.backend
                     )
                     accepted[np.flatnonzero(delivered)[sub]] = True
             else:
                 accepted = grouped_accept(
-                    choices, capacity, rng, self.buffers, backend=self.backend
+                    choices, capacity, rng, backend=self.backend
                 )
             return AcceptDecision(
                 accepts_sent=int(accepted.sum()), accepted=accepted

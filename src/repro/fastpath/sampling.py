@@ -30,16 +30,14 @@ as the scalar kernel would, so a batched trial is bitwise-identical to
 running that trial alone — the contract the replication engine's
 equivalence tests pin down.
 
-Chunked sampling (the 10^8-ball enabler): :func:`fill_choices` and
-:func:`fill_priorities` produce exactly the values of
-:func:`sample_choices` / ``rng.random(k)`` but write them into a
-caller-supplied (usually arena-owned, possibly narrower-dtype) array,
-drawing through a bounded temporary tile.  Both rely on the fact that
-numpy's ``Generator`` consumes its bit stream value-by-value: splitting
-one size-``k`` draw into sequential tiles yields the bitwise-identical
-concatenation, and ``Generator.random(out=view)`` fills a contiguous
-float64 view exactly as ``Generator.random(k)`` would — the two
-stream-accounting properties the chunked-equivalence tests pin.
+Chunked sampling (the 10^8-ball enabler): :func:`fill_choices`
+produces exactly the values of :func:`sample_choices` but writes them
+into a caller-supplied (possibly narrower-dtype) array, drawing
+through a bounded temporary tile.  It relies on the fact that numpy's
+``Generator`` consumes its bit stream value-by-value: splitting one
+size-``k`` draw into sequential tiles yields the bitwise-identical
+concatenation — the stream-accounting property the chunked-equivalence
+tests pin.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from repro.fastpath.backend import BackendLike, resolve_backend
 
 __all__ = [
     "fill_choices",
-    "fill_priorities",
     "grouped_accept",
     "grouped_accept_with_priorities",
     "multinomial_occupancy",
@@ -160,9 +157,9 @@ def fill_choices(
     """Fill ``out`` with ``sample_choices(out.size, n_bins, rng, pvals)``.
 
     The values (and the RNG stream consumed) are exactly those of
-    :func:`sample_choices`; only the storage differs — ``out`` may be a
-    persistent arena buffer of a narrower integer dtype (values always
-    fit: they are bin indices below ``n_bins``).  Draws go through a
+    :func:`sample_choices`; only the storage differs — ``out`` may have
+    a narrower integer dtype (values always fit: they are bin indices
+    below ``n_bins``).  Draws go through a
     bounded temporary of at most ``chunk_size`` elements (default: one
     shot), so the transient footprint of an ``m = 10**8`` round is one
     tile, not a second ``O(m)`` array.  Tiling is stream-exact because
@@ -196,27 +193,6 @@ def fill_choices(
         else:
             draws = np.searchsorted(cdf, rng.random(hi - lo), side="right")
             out[lo:hi] = np.minimum(draws, n_bins - 1)
-    return out
-
-
-def fill_priorities(
-    out: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Fill ``out`` with ``rng.random(out.size)``, allocation-free.
-
-    ``Generator.random(out=view)`` draws the same float64 stream as
-    ``Generator.random(k)``; passing an arena view avoids the fresh
-    ``O(k)`` allocation every accept step would otherwise make.
-    """
-    if out.ndim != 1 or not out.flags.c_contiguous:
-        raise ValueError("out must be a 1-D C-contiguous array")
-    if out.dtype != np.float64:
-        raise ValueError(
-            f"priorities must be float64 (the accept stream's historical "
-            f"width), got {out.dtype}"
-        )
-    if out.size:
-        rng.random(out=out)
     return out
 
 
@@ -315,7 +291,6 @@ def grouped_accept(
     choices: np.ndarray,
     capacity: np.ndarray,
     rng: np.random.Generator,
-    buffers=None,
     backend: BackendLike = None,
 ) -> np.ndarray:
     """Boolean mask: which flat requests are accepted.
@@ -339,10 +314,6 @@ def grouped_accept(
         treated as 0).
     rng:
         Random stream for the within-bin selection.
-    buffers:
-        Optional :class:`repro.fastpath.buffers.RoundBuffers` arena;
-        when given, the per-request priorities are drawn into a reused
-        arena view (same float64 stream, no fresh ``O(k)`` allocation).
     backend:
         Kernel backend (name or instance); ``None`` resolves the
         ambient selection (:func:`repro.fastpath.backend.resolve_backend`).
@@ -366,14 +337,8 @@ def grouped_accept(
         # Every bin saturated (zero-capacity round): all requests are
         # rejected; skip the grouping and its priority draws.
         return np.zeros(k, dtype=bool)
-    if buffers is not None:
-        priorities = fill_priorities(
-            buffers.take("accept_priorities", k, np.float64), rng
-        )
-    else:
-        priorities = rng.random(k)
     return grouped_accept_with_priorities(
-        choices, cap, priorities, backend=backend
+        choices, cap, rng.random(k), backend=backend
     )
 
 

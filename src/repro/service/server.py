@@ -246,6 +246,13 @@ class AllocatorService:
             departures=departures, hot_frac=hot_frac, workload=workload,
             fault_model=fault_model, backend=backend,
         )
+        # An empty cohort draws nothing, but the adapter checks its
+        # option values first: a bad value fails here, not at the first
+        # flush after the queue has given up its batch.
+        self._step.adapter.runner(
+            0, n, initial_loads=np.zeros(n, dtype=np.int64),
+            **self._step.options,
+        )
         self.residents = self._step.residents
         self.fault = self._step.fault
         self.algorithm = self._step.algorithm

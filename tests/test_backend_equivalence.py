@@ -265,16 +265,14 @@ class TestBucketedSelection:
         self._check(bucket_calls, choices, capacity, rng.random(k))
 
     def test_int32_choices_under_narrow_policy(self, bucket_calls):
-        from repro.fastpath.buffers import DtypePolicy
+        from repro.fastpath import narrow_dtypes
 
         rng = np.random.default_rng(26)
         n, k = 64, 50_000
-        policy = DtypePolicy.narrow(k, n)
-        choices = rng.integers(0, n, size=k).astype(policy.index_dtype)
+        index_dtype, load_dtype = narrow_dtypes(k, n)
+        choices = rng.integers(0, n, size=k).astype(index_dtype)
         assert choices.dtype == np.int32
-        capacity = _contended_capacity(rng, choices, n).astype(
-            policy.load_dtype
-        )
+        capacity = _contended_capacity(rng, choices, n).astype(load_dtype)
         self._check(bucket_calls, choices, capacity, rng.random(k))
 
     def test_out_of_range_priority_skips_the_buckets(self, bucket_calls):

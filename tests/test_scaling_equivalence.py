@@ -1,23 +1,26 @@
-"""Equivalence gates for the hardware-limit scaling paths (ISSUE-7).
+"""Equivalence gates for the hardware-limit scaling paths.
 
-Three compounding kernel-scaling axes — narrow dtypes + arena reuse,
-chunked per-ball sampling, and trial-axis process sharding — each
-promise *bitwise identity* with the historical path: the memory and
-parallelism wins must change the wall clock and nothing else.  These
-tests are that promise, pinned over seeds and workloads:
+Two kernel-scaling axes — chunked per-ball sampling with int32
+storage, and trial-axis process sharding — each promise *bitwise
+identity* with the default path: the memory and parallelism wins must
+change the wall clock and nothing else.  These tests are that promise,
+pinned over seeds and workloads:
 
-* ``fill_choices``/``fill_priorities`` consume the RNG stream exactly
-  as the one-shot draws they replace, for every tile size;
-* chunked/arena/narrowed heavy runs (per-ball and aggregate, uniform
-  and zipf+weighted) match the default path on loads, messages,
-  rounds, per-round metrics, and weighted loads;
-* ``DtypePolicy.narrow`` narrows only where the instance provably
-  fits, and narrowed results still surface as int64;
+* ``fill_choices`` consumes the RNG stream exactly as the one-shot
+  draw it replaces, for every tile size;
+* ``narrow_dtypes`` narrows only where the population provably fits;
+* chunked heavy runs (per-ball and aggregate, uniform and
+  zipf+weighted) match the default path on loads, messages, rounds,
+  per-round metrics, and weighted loads, and their loads surface as
+  int64;
+* ``chunk_size < 1`` is rejected on every entry point before any draw;
 * sharded replication (``workers=4``) is per-trial identical to the
   single-process batch, through ``replicate``, ``allocate_many``, and
   ``sweep``;
-* the dynamic epoch loop and allocator service, which now share one
-  arena across epochs/flushes, still match their unshared form.
+* chunked dynamic placement — int32 storage against resident loads,
+  settle rounds included — matches the default path through the
+  adapter and through ``run_dynamic``, and the allocator service still
+  matches ``run_dynamic``.
 """
 
 from __future__ import annotations
@@ -29,13 +32,9 @@ import repro
 from repro.api.replicate import replicate
 from repro.core.heavy import HeavyConfig
 from repro.experiments.parallel import _shard_bounds, replicate_sharded
-from repro.fastpath import (
-    DEFAULT_CHUNK,
-    DtypePolicy,
-    RoundBuffers,
-    fill_choices,
-    fill_priorities,
-)
+from repro.core.heavy import dynamic_heavy
+from repro.fastpath import fill_choices, narrow_dtypes
+from repro.service import AllocatorService
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +66,6 @@ def test_fill_choices_pvals_stream_equivalence(chunk):
     np.testing.assert_array_equal(ref, out)
 
 
-def test_fill_priorities_stream_equivalence():
-    ref = np.random.default_rng(5).random(3000)
-    out = np.empty(3000)
-    fill_priorities(out, np.random.default_rng(5))
-    np.testing.assert_array_equal(ref, out)
-
-
 def test_fill_choices_rejects_bad_output():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -88,72 +80,28 @@ def test_fill_choices_rejects_bad_output():
 
 
 # ---------------------------------------------------------------------------
-# Dtype policy: narrow only where the instance provably fits
+# Narrowing: int32 only where the population provably fits
 # ---------------------------------------------------------------------------
 
 
-def test_dtype_policy_wide_is_default():
-    assert DtypePolicy.wide().is_wide
-    assert DtypePolicy().is_wide
-
-
 def test_dtype_policy_narrow_fits():
-    p = DtypePolicy.narrow(10**6, 1024)
-    assert p.index_dtype == np.dtype(np.int32)
-    assert p.load_dtype == np.dtype(np.int32)
-    assert p.weight_dtype == np.dtype(np.float64)  # never auto-float32
+    index_dtype, load_dtype = narrow_dtypes(10**6, 1024)
+    assert index_dtype == np.dtype(np.int32)
+    assert load_dtype == np.dtype(np.int32)
 
 
 def test_dtype_policy_narrow_respects_int32_bounds():
     huge = 2**31
-    assert DtypePolicy.narrow(huge, 1024).load_dtype == np.dtype(np.int64)
-    assert DtypePolicy.narrow(huge, 1024).index_dtype == np.dtype(np.int64)
-    assert DtypePolicy.narrow(1000, huge).index_dtype == np.dtype(np.int64)
+    assert narrow_dtypes(huge, 1024)[1] == np.dtype(np.int64)
+    assert narrow_dtypes(huge, 1024)[0] == np.dtype(np.int64)
+    assert narrow_dtypes(1000, huge)[0] == np.dtype(np.int64)
     # Bin count beyond int32 does not widen the load vector (loads are
-    # bounded by m).
-    assert DtypePolicy.narrow(1000, huge).load_dtype == np.dtype(np.int32)
-
-
-def test_dtype_policy_float32_weights_is_explicit_opt_in():
-    assert DtypePolicy.narrow(100, 10).weight_dtype == np.dtype(np.float64)
-    p = DtypePolicy.narrow(100, 10, float32_weights=True)
-    assert p.weight_dtype == np.dtype(np.float32)
+    # bounded by the population).
+    assert narrow_dtypes(1000, huge)[1] == np.dtype(np.int32)
 
 
 # ---------------------------------------------------------------------------
-# RoundBuffers arena semantics
-# ---------------------------------------------------------------------------
-
-
-def test_round_buffers_reuses_and_grows():
-    buf = RoundBuffers(chunk_size=128)
-    a = buf.take("x", 100, np.int64)
-    b = buf.take("x", 80, np.int64)
-    assert a.base is b.base  # shrinking borrows the same storage
-    c = buf.take("x", 1000, np.int64)
-    assert c.size == 1000 and c.base is not a.base
-    assert buf.nbytes > 0
-    buf.clear()
-    assert buf.nbytes == 0
-
-
-def test_round_buffers_dtype_change_replaces():
-    buf = RoundBuffers()
-    a = buf.take("x", 10, np.int64)
-    b = buf.take("x", 10, np.int32)
-    assert b.dtype == np.int32 and a.base is not b.base
-
-
-def test_round_buffers_validates():
-    with pytest.raises(ValueError):
-        RoundBuffers(chunk_size=0)
-    with pytest.raises(ValueError):
-        RoundBuffers().take("x", -1, np.int64)
-    assert RoundBuffers().chunk_size == DEFAULT_CHUNK
-
-
-# ---------------------------------------------------------------------------
-# Chunked / arena / narrowed heavy runs == default path, bitwise
+# Chunked heavy runs == default path, bitwise
 # ---------------------------------------------------------------------------
 
 _WORKLOADS = [None, "zipf:1.1", "zipf:1.1+geomw:0.5+propcap"]
@@ -205,14 +153,29 @@ def test_tiny_chunk_size_still_equivalent():
     np.testing.assert_array_equal(base.loads, chunked.loads)
 
 
-def test_shared_arena_across_sequential_runs():
-    arena = RoundBuffers(8192)
-    base = repro.allocate("heavy", 50_000, 64, seed=11)
-    first = repro.allocate("heavy", 50_000, 64, seed=11, buffers=arena)
-    second = repro.allocate("heavy", 50_000, 64, seed=11, buffers=arena)
-    np.testing.assert_array_equal(base.loads, first.loads)
-    np.testing.assert_array_equal(base.loads, second.loads)
-    assert arena.nbytes > 0  # the arena was actually used
+_CHUNKED_ENTRY_POINTS = {
+    "allocate": lambda chunk: repro.allocate(
+        "heavy", 20_000, 64, seed=1, chunk_size=chunk
+    ),
+    # An empty cohort: the check must come before the early return.
+    "dynamic_heavy": lambda chunk: dynamic_heavy(
+        0, 64, initial_loads=np.zeros(64, dtype=np.int64), seed=1,
+        chunk_size=chunk,
+    ),
+    "run_dynamic": lambda chunk: repro.run_dynamic(
+        "heavy", 20_000, 64, seed=1, epochs=2, chunk_size=chunk
+    ),
+    "AllocatorService": lambda chunk: AllocatorService(
+        "heavy", 64, seed=1, chunk_size=chunk
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CHUNKED_ENTRY_POINTS))
+@pytest.mark.parametrize("chunk_size", [0, -3])
+def test_bad_chunk_size_rejected_on_every_entry_point(entry, chunk_size):
+    with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+        _CHUNKED_ENTRY_POINTS[entry](chunk_size)
 
 
 def test_per_ball_message_counters_survive_chunking():
@@ -311,14 +274,14 @@ def test_sweep_workers_shard_each_point_block():
 
 
 # ---------------------------------------------------------------------------
-# Long-lived callers: shared arenas change no value
+# Dynamic placement: chunked storage against residents changes no value
 # ---------------------------------------------------------------------------
 
 
 def test_run_dynamic_shared_arena_matches_unshared():
     shared = repro.run_dynamic("heavy", 30_000, 64, seed=9, epochs=4)
     unshared = repro.run_dynamic(
-        "heavy", 30_000, 64, seed=9, epochs=4, buffers=None
+        "heavy", 30_000, 64, seed=9, epochs=4, chunk_size=512
     )
     np.testing.assert_array_equal(shared.loads, unshared.loads)
     assert [r.messages for r in shared.records] == [

@@ -395,6 +395,28 @@ class TestServiceEdgeCases:
             )
         assert root.n_children_spawned == 0
 
+    @pytest.mark.parametrize(
+        "algorithm, options, name",
+        [
+            ("heavy", {"settle_rounds": -1}, "settle_rounds"),
+            ("heavy", {"mode": "bogus"}, "mode"),
+            ("combined", {"mode": "bogus"}, "mode"),
+            ("single", {"mode": "bogus"}, "mode"),
+            ("stemann", {"collision_factor": 1.0}, "collision_factor"),
+        ],
+    )
+    def test_bad_option_value_rejected_at_construction(
+        self, algorithm, options, name
+    ):
+        # The constructor places an empty cohort, and every adapter
+        # checks its option values before its empty-cohort return: a
+        # bad value fails here, not at the first flush after the queue
+        # has given up its batch.
+        root = np.random.SeedSequence(5)
+        with pytest.raises(ValueError, match=name):
+            AllocatorService(algorithm, 16, seed=root, **options)
+        assert root.n_children_spawned == 0
+
     def test_queue_overflow_sheds(self):
         svc = self._service(max_batch=1000, max_queue=100, auto_flush=False)
         assert svc.place(80) == ACCEPT
