@@ -45,7 +45,10 @@ from repro.core.thresholds import PaperSchedule, ThresholdSchedule
 from repro.dynamic.placement import DynamicPlacement, check_mode
 from repro.fastpath.roundstate import RoundState
 from repro.light.lw16 import LightConfig
-from repro.light.virtual import run_light_on_virtual_bins
+from repro.light.virtual import (
+    run_light_on_virtual_bins,
+    run_light_on_virtual_bins_batch,
+)
 from repro.result import AllocationResult
 from repro.simulation.metrics import MessageCounter, RoundMetrics, RunMetrics
 from repro.telemetry import current_telemetry
@@ -353,16 +356,71 @@ def run_heavy(
     algorithm = (
         "heavy" if schedule is None else f"threshold[{type(sched).__name__}]"
     )
+    phase2 = None
+    if handoff and phase1.remaining > 0:
+        (phase2,) = _light_phase(
+            n, [phase1.remaining], [factory], config.light
+        )
     return _finish_heavy_run(
         m,
         n,
         phase1=phase1,
         factory=factory,
         bound=bound,
-        config=config,
-        handoff=handoff,
+        phase2=phase2,
         algorithm=algorithm,
     )
+
+
+#: Straggler budget of one trial-batched phase-2 block: ``replicate_heavy``
+#: hands consecutive trials to one lock-step ``A_light`` pass while their
+#: straggler total stays within it, and finishes those trials before the
+#: next block is drawn, so phase 2's peak memory stays bounded however
+#: many trials a call has (a trial with more stragglers is a block alone).
+_LIGHT_BLOCK_STRAGGLERS = 2**15
+
+
+def _light_phase(
+    n: int,
+    stragglers: list[int],
+    factories: list[RngFactory],
+    config: LightConfig,
+) -> list[tuple]:
+    """Phase 2 for one run or one block of trials, as one ``phase`` span.
+
+    Trial ``t`` hands ``stragglers[t]`` balls to ``A_light`` over its
+    own virtual bins, drawing from its ``("light",)`` stream.  A single
+    run goes through :func:`run_light_on_virtual_bins`; a block runs
+    all its trials in one lock-step pass
+    (:func:`~repro.light.virtual.run_light_on_virtual_bins_batch`).
+    Both are the same kernel, so the values do not depend on the
+    grouping.  Returns one ``(real_loads, light_outcome, vmap)`` per
+    trial.
+    """
+    tele = current_telemetry()
+    light_start = tele.begin() if tele is not None else 0.0
+    seeds = [factory.stream("light") for factory in factories]
+    if len(seeds) == 1:
+        runs = [
+            run_light_on_virtual_bins(
+                stragglers[0], n, seed=seeds[0], config=config
+            )
+        ]
+    else:
+        runs = run_light_on_virtual_bins_batch(
+            stragglers, n, seeds=seeds, config=config
+        )
+    if tele is not None:
+        tele.complete(
+            "phase",
+            light_start,
+            cat="kernel",
+            phase="light",
+            stragglers=sum(stragglers),
+            trials=len(runs),
+            rounds=max(light.rounds for _, light, _ in runs),
+        )
+    return runs
 
 
 def _finish_heavy_run(
@@ -372,17 +430,17 @@ def _finish_heavy_run(
     phase1: ThresholdPhaseOutcome,
     factory: RngFactory,
     bound,
-    config: HeavyConfig,
-    handoff: bool,
+    phase2: Optional[tuple],
     algorithm: str,
 ) -> AllocationResult:
-    """Phase 2 (``A_light`` handoff) and result assembly.
+    """Fold the phase-2 run into phase 1 and assemble the result.
 
-    Shared verbatim by the sequential :func:`run_heavy` and the
-    trial-batched :func:`replicate_heavy` (which runs phase 1 in
-    lock-step across trials, then finishes each trial through this
-    helper) — one implementation is what keeps the two paths
-    bitwise-identical.
+    ``phase2`` is this trial's ``(real_loads, light_outcome, vmap)``
+    from :func:`_light_phase`, or ``None`` when there was no handoff
+    (its stragglers then stay unallocated).  Shared verbatim by the
+    sequential :func:`run_heavy` and the trial-batched
+    :func:`replicate_heavy` — one implementation is what keeps the two
+    paths bitwise-identical.
     """
     loads = phase1.loads.copy()
     total_messages = phase1.total_messages
@@ -403,24 +461,8 @@ def _finish_heavy_run(
     )
 
     unallocated = phase1.remaining
-    if handoff and unallocated > 0:
-        tele = current_telemetry()
-        light_start = tele.begin() if tele is not None else 0.0
-        real_loads, light, vmap = run_light_on_virtual_bins(
-            unallocated,
-            n,
-            seed=factory.stream("light"),
-            config=config.light,
-        )
-        if tele is not None:
-            tele.complete(
-                "phase",
-                light_start,
-                cat="kernel",
-                phase="light",
-                stragglers=unallocated,
-                rounds=light.rounds,
-            )
+    if phase2 is not None:
+        real_loads, light, vmap = phase2
         loads += real_loads
         if weighted_loads is not None:
             if bound.weights is not None:
@@ -578,10 +620,14 @@ def replicate_heavy(
     """Run ``trials`` seeded replications of ``A_heavy`` in one batch.
 
     Phase 1 (threshold rounds) advances all trials in lock-step on the
-    trial-batched aggregate kernels; phase 2 hands each trial's ``O(n)``
-    stragglers to its own ``A_light`` run, exactly as the sequential
-    algorithm does.  Trial ``t`` is bitwise-identical to
-    ``run_heavy(m, n, seed=seed_seqs[t], mode="aggregate", ...)``.
+    trial-batched aggregate kernels.  Phase 2 hands each trial's
+    ``O(n)`` stragglers to ``A_light`` over its own virtual bins, in
+    blocks of consecutive trials whose straggler total stays within
+    ``_LIGHT_BLOCK_STRAGGLERS``: each block runs in one lock-step pass
+    (every trial drawing from its own ``("light",)`` stream) and its
+    trials are finished before the next block starts.  Trial ``t`` is
+    bitwise-identical to ``run_heavy(m, n, seed=seed_seqs[t],
+    mode="aggregate", ...)``.
     """
     m, n = ensure_m_n(m, n, require_heavy=True)
     if len(seed_seqs) != trials:
@@ -599,19 +645,47 @@ def replicate_heavy(
     algorithm = (
         "heavy" if schedule is None else f"threshold[{type(sched).__name__}]"
     )
-    return [
-        _finish_heavy_run(
-            m,
-            n,
-            phase1=phase1,
-            factory=factory,
-            bound=bound,
-            config=config,
-            handoff=handoff,
-            algorithm=algorithm,
+    stragglers = [p.remaining if handoff else 0 for p in phase1s]
+    results = []
+    for block in _blocks(stragglers, _LIGHT_BLOCK_STRAGGLERS):
+        handed = [t for t in block if stragglers[t] > 0]
+        runs = (
+            _light_phase(
+                n,
+                [stragglers[t] for t in handed],
+                [factories[t] for t in handed],
+                config.light,
+            )
+            if handed
+            else []
         )
-        for phase1, factory, bound in zip(phase1s, factories, bounds)
-    ]
+        phase2 = dict(zip(handed, runs))
+        results.extend(
+            _finish_heavy_run(
+                m,
+                n,
+                phase1=phase1s[t],
+                factory=factories[t],
+                bound=bounds[t],
+                phase2=phase2.get(t),
+                algorithm=algorithm,
+            )
+            for t in block
+        )
+    return results
+
+
+def _blocks(sizes: list[int], bound: int):
+    """Consecutive index ranges whose ``sizes`` sum stays within
+    ``bound``; an index whose size alone exceeds it is its own range."""
+    start, total = 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > bound:
+            yield range(start, i)
+            start, total = i, 0
+        total += size
+    if sizes:
+        yield range(start, len(sizes))
 
 
 @register_dynamic("heavy")

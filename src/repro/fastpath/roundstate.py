@@ -1,9 +1,10 @@
 """The shared vectorized round-kernel layer: one backend for all protocols.
 
 Every allocation protocol in the package — the paper's algorithms in
-:mod:`repro.core`, the baselines in :mod:`repro.baselines`, and the
-light-load subroutine in :mod:`repro.light` — executes the same round
-skeleton:
+:mod:`repro.core` and the baselines in :mod:`repro.baselines` —
+executes the same round skeleton (the light-load subroutine in
+:mod:`repro.light` runs it too, over a composite bin space of many
+trials, in :func:`repro.light.lw16.run_light_batch`):
 
 1. **sample contacts** — active balls pick target bins (uniformly, with
    fan-out ``d``, or by a protocol-supplied deterministic rule);
@@ -228,18 +229,11 @@ class RoundOutcome:
     requests_sent: Any
     accepts_sent: Any
     commits: Any
-    commit_messages: int
     unallocated_end: Any
     #: Global ids of the balls that committed this round (perball only).
     committed_balls: Optional[np.ndarray] = None
     #: Their target bins, aligned with ``committed_balls``.
     committed_bins: Optional[np.ndarray] = None
-    #: Requester positions of every accepted request (perball, multi-
-    #: contact resolution only) — for per-ball receive accounting.
-    accepted_positions: Optional[np.ndarray] = None
-    #: Requester positions, one per accept held by a committing ball —
-    #: the commit/revoke notifications of step 3.
-    commit_notice_positions: Optional[np.ndarray] = None
 
 
 def priority_commit_accept(
@@ -358,7 +352,6 @@ class RoundState:
         granularity: Granularity = "perball",
         trials: Optional[int] = None,
         track_messages: bool = False,
-        track_assignment: bool = False,
         metrics: Optional[RunMetrics] = None,
         weights: Optional[np.ndarray] = None,
         weight_sum_sampler=None,
@@ -511,11 +504,8 @@ class RoundState:
             )
             self._active_count = m
             self.counter = MessageCounter(m, n) if track_messages else None
-            self.assignment = (
-                np.full(m, -1, dtype=np.int64) if track_assignment else None
-            )
         else:
-            if track_messages or track_assignment:
+            if track_messages:
                 raise ValueError(
                     "per-ball accounting requires granularity='perball'"
                 )
@@ -526,7 +516,6 @@ class RoundState:
                 else m
             )
             self.counter = None
-            self.assignment = None
 
     @property
     def active_count(self) -> int:
@@ -804,7 +793,6 @@ class RoundState:
         target_counts: Optional[np.ndarray] = None,
         accept_cost: int = 1,
         count_commits: bool = False,
-        commit_notifications: bool = False,
         record_counter: bool = True,
         record_accepts: bool = True,
     ) -> RoundOutcome:
@@ -832,10 +820,6 @@ class RoundState:
         count_commits:
             Charge one extra message per commit (collision protocols
             where the commit is a distinct message).
-        commit_notifications:
-            Charge one message per accept held by a committing ball
-            (commit/revoke notices of the light protocol) and expose
-            ``commit_notice_positions`` on the outcome.
         record_counter:
             Feed the per-ball/per-bin
             :class:`~repro.simulation.metrics.MessageCounter` (when the
@@ -870,40 +854,26 @@ class RoundState:
                 threshold=threshold,
                 unallocated_start=u,
                 commits=commits,
-                commit_messages=0,
                 accept_cost=accept_cost,
                 count_commits=count_commits,
-                commit_notifications=commit_notifications,
                 committed_balls=None,
                 committed_bins=None,
-                accepted_positions=None,
-                commit_notice_positions=None,
             )
             return outcome
 
         balls = self.active
-        accepted_positions: Optional[np.ndarray] = None
-        notice_positions: Optional[np.ndarray] = None
-        commit_messages = 0
         if decision.resolved:
             committed_mask = decision.committed_pos
             commit_bins = decision.committed_bin[committed_mask]
         elif batch.requester_pos is None:
             committed_mask = decision.accepted
             commit_bins = batch.choices[committed_mask]
-            if commit_notifications:
-                # d == 1: every committing ball holds exactly one accept.
-                accepted_positions = np.flatnonzero(committed_mask)
-                notice_positions = accepted_positions
-                commit_messages = int(accepted_positions.size)
         else:
             accepted = decision.accepted
             acc_positions = batch.requester_pos[accepted]
             acc_bins = batch.choices[accepted]
-            accepted_positions = acc_positions
             committed_mask = np.zeros(u, dtype=bool)
             commit_bins = np.zeros(0, dtype=np.int64)
-            notice_positions = np.zeros(0, dtype=np.int64)
             if acc_positions.size:
                 sorted_positions, sorted_bins = (
                     self.backend.sort_accepts_by_position(
@@ -916,11 +886,6 @@ class RoundState:
                 winners_pos = sorted_positions[first]
                 commit_bins = sorted_bins[first]
                 committed_mask[winners_pos] = True
-                if commit_notifications:
-                    # Every ball holding an accept commits under this
-                    # policy, so each accepted request gets a notice.
-                    notice_positions = sorted_positions
-                    commit_messages = int(sorted_positions.size)
         commits = int(committed_mask.sum())
         committed_balls = balls[committed_mask]
         bins_for_load = target_bins if target_bins is not None else commit_bins
@@ -934,8 +899,6 @@ class RoundState:
                 bins_for_load,
                 self.weights[committed_balls],
             )
-        if self.assignment is not None and target_bins is None:
-            self.assignment[committed_balls] = commit_bins
         if (
             record_counter
             and self.counter is not None
@@ -954,14 +917,10 @@ class RoundState:
             threshold=threshold,
             unallocated_start=u,
             commits=commits,
-            commit_messages=commit_messages,
             accept_cost=accept_cost,
             count_commits=count_commits,
-            commit_notifications=commit_notifications,
             committed_balls=committed_balls,
             committed_bins=bins_for_load,
-            accepted_positions=accepted_positions,
-            commit_notice_positions=notice_positions,
         )
 
     def _commit_and_revoke_trials(
@@ -1037,7 +996,6 @@ class RoundState:
             requests_sent=batch.requests_sent,
             accepts_sent=accepts,
             commits=commits,
-            commit_messages=0,
             unallocated_end=self._active_count,
         )
         self.rounds += 1
@@ -1051,21 +1009,15 @@ class RoundState:
         threshold: Optional[float],
         unallocated_start: int,
         commits: int,
-        commit_messages: int,
         accept_cost: int,
         count_commits: bool,
-        commit_notifications: bool,
         committed_balls: Optional[np.ndarray],
         committed_bins: Optional[np.ndarray],
-        accepted_positions: Optional[np.ndarray],
-        commit_notice_positions: Optional[np.ndarray],
     ) -> RoundOutcome:
         unallocated_end = self.active_count
         messages = batch.requests_sent + accept_cost * decision.accepts_sent
         if count_commits:
             messages += commits
-        if commit_notifications:
-            messages += commit_messages
         self.total_messages += messages
         if self._telemetry is not None:
             self._telemetry.count("kernel.rounds")
@@ -1090,12 +1042,9 @@ class RoundState:
             requests_sent=batch.requests_sent,
             accepts_sent=decision.accepts_sent,
             commits=commits,
-            commit_messages=commit_messages,
             unallocated_end=unallocated_end,
             committed_balls=committed_balls,
             committed_bins=committed_bins,
-            accepted_positions=accepted_positions,
-            commit_notice_positions=commit_notice_positions,
         )
         self.rounds += 1
         return outcome

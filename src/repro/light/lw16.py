@@ -29,13 +29,16 @@ preserves the load cap whenever total residual capacity suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import accumulate
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.api.spec import register_allocator
-from repro.fastpath.roundstate import RoundState
+from repro.fastpath.backend import resolve_backend
+from repro.fastpath.sampling import sample_choices
 from repro.simulation.metrics import RoundMetrics, RunMetrics
+from repro.telemetry import current_telemetry
 from repro.utils.logstar import log_star
 from repro.utils.seeding import RngFactory, as_generator
 from repro.utils.validation import check_positive_int
@@ -46,6 +49,7 @@ __all__ = [
     "LightOutcome",
     "run_light",
     "run_light_allocation",
+    "run_light_batch",
     "tower_schedule",
 ]
 
@@ -57,18 +61,26 @@ class LightConfig:
     Attributes
     ----------
     capacity:
-        Per-bin load cap (Theorem 5 guarantees 2).
+        Per-bin load cap (Theorem 5 guarantees 2); at least 1.
     max_contacts:
         Upper clamp on the per-round contact count ``k_r`` (memory
-        guard; the tower schedule reaches it only in the final round).
+        guard; the tower schedule reaches it only in the final round);
+        at least 1.
     round_budget_slack:
         Extra randomized rounds beyond ``log* n`` before the
-        deterministic sweep fallback engages.
+        deterministic sweep fallback engages.  May be negative: a
+        budget of zero or less sends every ball to the sweep.
+
+    Invalid values raise :class:`ValueError` at construction.
     """
 
     capacity: int = 2
     max_contacts: int = 64
     round_budget_slack: int = 6
+
+    def __post_init__(self) -> None:
+        check_positive_int(self.capacity, "capacity")
+        check_positive_int(self.max_contacts, "max_contacts")
 
 
 @dataclass
@@ -109,10 +121,11 @@ def run_light(
     *,
     seed=None,
     config: LightConfig = LightConfig(),
-    ball_ids: Optional[np.ndarray] = None,
     workload=None,
 ) -> LightOutcome:
     """Allocate ``n_balls`` balls into ``n_bins`` bins, load <= capacity.
+
+    The one-trial call of :func:`run_light_batch`.
 
     Parameters
     ----------
@@ -124,12 +137,6 @@ def run_light(
         existing Generator.
     config:
         Protocol tunables.
-    ball_ids:
-        Optional global ball identifiers of length ``n_balls``; accepted
-        for validation symmetry with callers that maintain a global ball
-        index space (``A_heavy`` phase 2).  The returned
-        ``ball_messages`` is always indexed by local position
-        ``0..n_balls-1``; callers map through their own ID arrays.
     workload:
         Optional :class:`repro.workloads.Workload` (or spec string):
         skewed contact distribution, per-bin capacities scaled by the
@@ -144,116 +151,269 @@ def run_light(
         Final loads over the ``n_bins`` bins, the ball-to-bin
         assignment, and accounting.
     """
-    n_balls = check_positive_int(n_balls, "n_balls", minimum=0)
-    n_bins = check_positive_int(n_bins, "n_bins")
-    if config.capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {config.capacity}")
-    rng = as_generator(seed)
-    wl_spec = as_workload(workload)
-    if wl_spec is None:
-        wl = BoundWorkload()
-    else:
-        wl = BoundWorkload(
-            spec=wl_spec,
-            pvals=wl_spec.pvals(n_bins),
-            capacity_scale=wl_spec.capacity_scale(n_bins),
-        )
-        if wl_spec.weight != "unit":
-            wl.weights = wl_spec.sample_weights(n_balls, rng)
-    caps = wl.capacities(config.capacity)
-    caps_arr = (
-        caps
-        if isinstance(caps, np.ndarray)
-        else np.full(n_bins, config.capacity, dtype=np.int64)
+    (outcome,) = run_light_batch(
+        [n_balls],
+        [n_bins],
+        [as_generator(seed)],
+        config=config,
+        workload=workload,
     )
-    total_capacity = int(caps_arr.sum())
-    if n_balls > total_capacity:
+    return outcome
+
+
+def run_light_batch(
+    n_balls: Sequence[int],
+    n_bins: Sequence[int],
+    rngs: Sequence[np.random.Generator],
+    *,
+    config: LightConfig = LightConfig(),
+    workload=None,
+) -> list[LightOutcome]:
+    """Run ``A_light`` for ``T`` independent trials in one lock-step pass.
+
+    Trial ``t`` places ``n_balls[t]`` balls into its own ``n_bins[t]``
+    bins and draws only from ``rngs[t]``, in :func:`run_light`'s order:
+    workload weights (if any) before its first round, then contacts and
+    priorities each round, then nothing once it empties or spends its
+    ``log*(n_bins[t]) + round_budget_slack`` budget.  Outcome ``t`` is
+    therefore bitwise-identical to ``run_light(n_balls[t], n_bins[t],
+    seed=rngs[t], ...)``.
+
+    The trials share one composite bin space: trial ``t``'s bin ``v`` is
+    composite bin ``offset_t + v``.  Bins of different trials never
+    meet, and concatenating the trials' requests in trial order keeps
+    each trial's request order, so a single grouping call per round
+    resolves every trial exactly as its own call would (ties break by
+    request index).  Per-trial commits, messages and metrics rows are
+    segment reductions over that space.
+
+    ``workload`` is one spec shared by the trials; each trial binds its
+    choice distribution and capacity profile at its own bin count.
+    """
+    sizes = [check_positive_int(b, "n_balls", minimum=0) for b in n_balls]
+    spaces = [check_positive_int(b, "n_bins") for b in n_bins]
+    trials = len(sizes)
+    if len(spaces) != trials or len(rngs) != trials:
         raise ValueError(
-            f"{n_balls} balls exceed total capacity {total_capacity} "
-            f"(capacity {config.capacity} over {n_bins} bins)"
+            f"need one bin count and one generator per trial: got "
+            f"{trials} ball counts, {len(spaces)} bin counts and "
+            f"{len(rngs)} generators"
         )
-    state = RoundState(
-        n_balls, n_bins, track_assignment=True, weights=wl.weights
+    bin_offsets = np.array([0, *accumulate(spaces)], dtype=np.int64)
+    ball_offsets = np.array([0, *accumulate(sizes)], dtype=np.int64)
+    caps = np.full(int(bin_offsets[-1]), config.capacity, dtype=np.int64)
+    totals = [config.capacity * b for b in spaces]
+    pvals: list = [None] * trials
+    weights = None
+    wl_spec = as_workload(workload)
+    if wl_spec is not None:
+        weight_parts = []
+        for t in range(trials):
+            wl = BoundWorkload(
+                spec=wl_spec,
+                pvals=wl_spec.pvals(spaces[t]),
+                capacity_scale=wl_spec.capacity_scale(spaces[t]),
+            )
+            pvals[t] = wl.pvals
+            if wl.capacity_scale is not None:
+                part = wl.capacities(config.capacity)
+                caps[bin_offsets[t] : bin_offsets[t + 1]] = part
+                totals[t] = int(part.sum())
+            if wl_spec.weight != "unit":
+                weight_parts.append(
+                    wl_spec.sample_weights(sizes[t], rngs[t])
+                )
+        if weight_parts:
+            weights = np.concatenate(weight_parts)
+    for t in range(trials):
+        if sizes[t] > totals[t]:
+            raise ValueError(
+                f"{sizes[t]} balls exceed total capacity {totals[t]} "
+                f"(capacity {config.capacity} over {spaces[t]} bins)"
+            )
+
+    loads = np.zeros(caps.size, dtype=np.int64)
+    weighted_loads = None if weights is None else np.zeros(caps.size)
+    total_balls = int(ball_offsets[-1])
+    assignment = np.full(total_balls, -1, dtype=np.int64)
+    ball_messages = np.zeros(total_balls, dtype=np.int64)
+    # Unallocated composite balls, ascending — so grouped by trial, and
+    # each trial's in its own ball order — with their trials, and the
+    # per-trial unallocated counts.
+    active = np.arange(total_balls, dtype=np.int64)
+    active_trial = np.repeat(np.arange(trials), sizes)
+    counts = np.array(sizes, dtype=np.int64)
+    rounds = np.zeros(trials, dtype=np.int64)
+    messages = np.zeros(trials, dtype=np.int64)
+    used_fallback = [False] * trials
+    metrics = [RunMetrics(sizes[t], spaces[t]) for t in range(trials)]
+    budgets = np.array(
+        [log_star(b) + config.round_budget_slack for b in spaces],
+        dtype=np.int64,
     )
-    ball_messages = np.zeros(n_balls, dtype=np.int64)
-    used_fallback = False
-    budget = log_star(n_bins) + config.round_budget_slack
+    contact_caps = [min(config.max_contacts, b) for b in spaces]
+    backend = resolve_backend()
+    tele = current_telemetry()
 
-    while state.active_count > 0 and state.rounds < budget:
-        k_r = tower_schedule(state.rounds, min(config.max_contacts, n_bins))
-        balls = state.active
-        # Step 1: requests — ``k_r`` contacts per active ball, drawn
-        # from the workload's choice distribution (flat layout: request
-        # j belongs to ball active[j // k_r]).
-        batch = state.sample_contacts(rng, d=k_r, pvals=wl.pvals)
-        # Step 2: bins accept up to residual capacity, uniformly among
-        # requesters.
-        decision = state.group_and_accept(
-            batch, (caps_arr - state.loads).astype(np.int64), rng
-        )
-        # Step 3: each accepted ball commits to one acceptor (uniform:
-        # the accept pass already applied random priorities, so the
-        # first accepted request per ball is uniform among acceptors)
-        # and notifies every bin that accepted it (commit/revoke).
-        out = state.commit_and_revoke(
-            batch, decision, commit_notifications=True
-        )
-        # Per-ball accounting: k_r sends, one receive per accept, one
-        # send per commit/revoke notice.
-        ball_messages[balls] += k_r
-        np.add.at(ball_messages, balls[out.accepted_positions], 1)
-        np.add.at(ball_messages, balls[out.commit_notice_positions], 1)
-
-    # Deterministic sweep fallback (probability n^{-c} path): scan bins
-    # in index order, filling residual capacity.  Each sweep round lets a
-    # ball contact one bin, exactly the trivial algorithm of Section 3.
-    if state.active_count > 0:
-        used_fallback = True
-        active = state.active
-        residual = np.maximum(caps_arr - state.loads, 0)
-        slots = np.repeat(np.arange(n_bins), residual)
-        if slots.size < active.size:  # unreachable given capacity check
+    def sweep(t: int, left: np.ndarray) -> None:
+        """Deterministic sweep fallback (probability n^{-c} path): scan
+        trial ``t``'s bins in index order, filling residual capacity.
+        Each sweep round lets a ball contact one bin, exactly the
+        trivial algorithm of Section 3."""
+        lo, hi = bin_offsets[t], bin_offsets[t + 1]
+        residual = np.maximum(caps[lo:hi] - loads[lo:hi], 0)
+        slots = np.repeat(np.arange(lo, hi), residual)
+        if slots.size < left.size:  # unreachable given capacity check
             raise RuntimeError("fallback found insufficient capacity")
-        chosen = slots[: active.size]
-        state.assignment[active] = chosen
-        np.add.at(state.loads, chosen, 1)
-        if state.weighted_loads is not None:
-            np.add.at(state.weighted_loads, chosen, state.weights[active])
+        chosen = slots[: left.size]
+        assignment[left] = chosen
+        np.add.at(loads, chosen, 1)
+        if weighted_loads is not None:
+            np.add.at(weighted_loads, chosen, weights[left])
         # Message cost of the sweep: ball b finds a free bin after at
         # most (chosen position + 1) contacts; we charge 1 per ball per
         # sweep round and fold the sweep into one reported round per
         # paper's trivial algorithm (n rounds worst case — recorded via
         # the metrics entry below).
-        state.total_messages += int(active.size)
-        ball_messages[active] += 2  # request + accept
-        state.metrics.add_round(
+        messages[t] += left.size
+        ball_messages[left] += 2  # request + accept
+        metrics[t].add_round(
             RoundMetrics(
-                round_no=state.rounds,
-                unallocated_start=int(active.size),
-                requests_sent=int(active.size),
-                accepts_sent=int(active.size),
+                round_no=int(rounds[t]),
+                unallocated_start=int(left.size),
+                requests_sent=int(left.size),
+                accepts_sent=int(left.size),
                 rejects_sent=0,
-                commits=int(active.size),
+                commits=int(left.size),
                 unallocated_end=0,
-                max_load=int(state.loads.max(initial=0)),
+                max_load=int(loads[lo:hi].max(initial=0)),
             )
         )
-        state.rounds += 1
-        state.active = active[:0]
+        rounds[t] += 1
+        used_fallback[t] = True
 
-    if ball_ids is not None:
-        if len(ball_ids) != n_balls:
-            raise ValueError("ball_ids must have length n_balls")
-    return LightOutcome(
-        loads=state.loads,
-        assignment=state.assignment,
-        rounds=state.rounds,
-        total_messages=state.total_messages,
-        metrics=state.metrics,
-        used_fallback=used_fallback,
-        ball_messages=ball_messages,
-        weighted_loads=state.weighted_loads,
-    )
+    # Trials run every round from the first until they empty or spend
+    # their budget, so every trial with balls left is at round ``r``.
+    r = 0
+    while active.size:
+        # A trial that spent its budget with balls left sweeps them now;
+        # the sweep draws nothing, so when it runs relative to the other
+        # trials' rounds is immaterial.
+        spent = (counts > 0) & (budgets <= r)
+        if spent.any():
+            for t in np.flatnonzero(spent).tolist():
+                sweep(t, active[active_trial == t])
+            keep = ~spent[active_trial]
+            active, active_trial = active[keep], active_trial[keep]
+            counts[spent] = 0
+            continue
+        live_idx = np.flatnonzero(counts)
+        live_list = live_idx.tolist()
+        live_counts = counts[live_idx]
+        ks = np.array(
+            [tower_schedule(r, contact_caps[t]) for t in live_list],
+            dtype=np.int64,
+        )
+        requests = live_counts * ks
+        # Step 1 (requests) and step 2's priorities, trial by trial from
+        # each trial's own stream.  A live trial's residual capacity is
+        # never all zero (its balls fit its total capacity), so it
+        # always draws the priorities ``grouped_accept`` would draw.
+        choice_parts = []
+        priority_parts = []
+        for t, size in zip(live_list, requests.tolist()):
+            choice_parts.append(
+                sample_choices(size, spaces[t], rngs[t], pvals[t])
+                + bin_offsets[t]
+            )
+            priority_parts.append(rngs[t].random(size))
+        choices = np.concatenate(choice_parts)
+        # Step 2: every bin accepts up to its residual capacity, the
+        # lowest-priority requests first — one grouping for all trials.
+        accepted = backend.grouped_accept_with_priorities(
+            choices,
+            np.maximum(caps - loads, 0),
+            np.concatenate(priority_parts),
+        )
+        # Step 3: each accepted ball commits to its first accepted
+        # request (uniform among acceptors: the priorities already
+        # randomized which requests were accepted) and notifies every
+        # bin that accepted it.  Requests are ball-major.
+        ball_ks = np.repeat(ks, live_counts)
+        acc_pos = np.repeat(np.arange(active.size), ball_ks)[accepted]
+        first = np.ones(acc_pos.size, dtype=bool)
+        first[1:] = acc_pos[1:] != acc_pos[:-1]
+        winners = acc_pos[first]
+        commit_bins = choices[accepted][first]
+        committed = active[winners]
+        backend.scatter_counts(loads, commit_bins)
+        if weighted_loads is not None:
+            backend.scatter_weights(
+                weighted_loads, commit_bins, weights[committed]
+            )
+        assignment[committed] = commit_bins
+        # Per-ball accounting: k sends, one receive per accept, one
+        # commit/revoke notice per accept.
+        ball_messages[active] += ball_ks + 2 * np.bincount(
+            acc_pos, minlength=active.size
+        )
+        accepts = np.bincount(active_trial[acc_pos], minlength=trials)
+        commits = np.bincount(active_trial[winners], minlength=trials)
+        accepts, commits = accepts[live_idx], commits[live_idx]
+        sent = requests + 2 * accepts
+        messages[live_idx] += sent
+        if tele is not None:
+            tele.count("kernel.rounds", len(live_list))
+            tele.count("kernel.commits", int(commits.sum()))
+            tele.count("kernel.messages", int(sent.sum()))
+        row_max = np.maximum.reduceat(loads, bin_offsets[:-1])[live_idx]
+        for t, start, req, acc, com, peak in zip(
+            live_list,
+            live_counts.tolist(),
+            requests.tolist(),
+            accepts.tolist(),
+            commits.tolist(),
+            row_max.tolist(),
+        ):
+            metrics[t].add_round(
+                RoundMetrics(
+                    round_no=r,
+                    unallocated_start=start,
+                    requests_sent=req,
+                    accepts_sent=acc,
+                    rejects_sent=0,
+                    commits=com,
+                    unallocated_end=start - com,
+                    max_load=peak,
+                )
+            )
+        counts[live_idx] -= commits
+        rounds[live_idx] += 1
+        keep = np.ones(active.size, dtype=bool)
+        keep[winners] = False
+        active, active_trial = active[keep], active_trial[keep]
+        r += 1
+
+    return [
+        LightOutcome(
+            loads=loads[bin_offsets[t] : bin_offsets[t + 1]],
+            assignment=(
+                assignment[ball_offsets[t] : ball_offsets[t + 1]]
+                - bin_offsets[t]
+            ),
+            rounds=int(rounds[t]),
+            total_messages=int(messages[t]),
+            metrics=metrics[t],
+            used_fallback=used_fallback[t],
+            ball_messages=ball_messages[ball_offsets[t] : ball_offsets[t + 1]],
+            weighted_loads=(
+                None
+                if weighted_loads is None
+                else weighted_loads[bin_offsets[t] : bin_offsets[t + 1]]
+            ),
+        )
+        for t in range(trials)
+    ]
 
 
 @register_allocator(

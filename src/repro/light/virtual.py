@@ -9,21 +9,32 @@ simulates g virtual bins*.  A virtual max load of 2 then adds at most
 in real bin ``v mod n``; using the residue rather than ``v // g`` keeps
 the map correct when the last real bin simulates fewer virtual bins) and
 :func:`run_light_on_virtual_bins` is the composed operation used by
-``A_heavy``.
+``A_heavy`` (:func:`run_light_on_virtual_bins_batch` runs it for a
+block of trials in one lock-step pass).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.light.lw16 import LightConfig, LightOutcome, run_light
-from repro.simulation.metrics import RunMetrics
+from repro.light.lw16 import (
+    LightConfig,
+    LightOutcome,
+    run_light,
+    run_light_batch,
+)
+from repro.utils.seeding import as_generator
 from repro.utils.validation import check_positive_int
 
-__all__ = ["VirtualBinMap", "run_light_on_virtual_bins"]
+__all__ = [
+    "VirtualBinMap",
+    "run_light_on_virtual_bins",
+    "run_light_on_virtual_bins_batch",
+]
 
 
 @dataclass(frozen=True)
@@ -104,17 +115,38 @@ def run_light_on_virtual_bins(
                 f"factor {factor} gives capacity "
                 f"{config.capacity * vmap.n_virtual} < {n_balls} balls"
             )
-    if n_balls == 0:
-        outcome = LightOutcome(
-            loads=np.zeros(vmap.n_virtual, dtype=np.int64),
-            assignment=np.zeros(0, dtype=np.int64),
-            rounds=0,
-            total_messages=0,
-            metrics=RunMetrics(0, vmap.n_virtual),
-            used_fallback=False,
-            ball_messages=np.zeros(0, dtype=np.int64),
-        )
-        return np.zeros(n_real_bins, dtype=np.int64), outcome, vmap
     outcome = run_light(n_balls, vmap.n_virtual, seed=seed, config=config)
-    real_loads = vmap.fold_loads(outcome.loads)
-    return real_loads, outcome, vmap
+    return vmap.fold_loads(outcome.loads), outcome, vmap
+
+
+def run_light_on_virtual_bins_batch(
+    n_balls: Sequence[int],
+    n_real_bins: int,
+    *,
+    seeds: Sequence,
+    config: LightConfig = LightConfig(),
+) -> list[tuple[np.ndarray, LightOutcome, VirtualBinMap]]:
+    """:func:`run_light_on_virtual_bins` for many trials in one pass.
+
+    Trial ``t`` places ``n_balls[t]`` balls over its own
+    :meth:`VirtualBinMap.for_balls` map, drawing from ``seeds[t]``; all
+    trials run in lock-step through :func:`~repro.light.lw16.run_light_batch`.
+    Entry ``t`` is bitwise-identical to
+    ``run_light_on_virtual_bins(n_balls[t], n_real_bins,
+    seed=seeds[t], config=config)``.
+    """
+    n_real_bins = check_positive_int(n_real_bins, "n_real_bins")
+    vmaps = [
+        VirtualBinMap.for_balls(b, n_real_bins, config.capacity)
+        for b in n_balls
+    ]
+    outcomes = run_light_batch(
+        n_balls,
+        [vmap.n_virtual for vmap in vmaps],
+        [as_generator(seed) for seed in seeds],
+        config=config,
+    )
+    return [
+        (vmap.fold_loads(outcome.loads), outcome, vmap)
+        for vmap, outcome in zip(vmaps, outcomes)
+    ]

@@ -89,7 +89,7 @@ class TestRoundStateConstruction:
         state = RoundState(10, 4)
         assert state.active_count == 10
         assert np.array_equal(state.active, np.arange(10))
-        assert state.counter is None and state.assignment is None
+        assert state.counter is None
 
     def test_aggregate_state(self):
         state = RoundState(10**12, 4, granularity="aggregate")
@@ -244,18 +244,19 @@ class TestCommitAndRevoke:
         assert row.threshold == 10.0
 
     def test_fanout_first_accept_resolution(self, rng):
-        state = RoundState(200, 8, track_assignment=True)
+        state = RoundState(200, 8)
         batch = state.sample_contacts(rng, d=4)
         decision = state.group_and_accept(batch, np.full(8, 100), rng)
-        out = state.commit_and_revoke(
-            batch, decision, commit_notifications=True
-        )
+        out = state.commit_and_revoke(batch, decision)
         # every ball had 4 chances at ample capacity: all commit
         assert out.commits == 200
-        assert (state.assignment >= 0).all()
-        # commit notices: one per accept held by a committing ball
-        assert out.commit_messages == decision.accepts_sent
-        assert state.total_messages == 800 + decision.accepts_sent * 2
+        assert state.active_count == 0
+        # each committed ball lands on its first accepted request
+        first = batch.choices.reshape(200, 4)[
+            np.arange(200), decision.accepted.reshape(200, 4).argmax(axis=1)
+        ]
+        assert np.array_equal(out.committed_bins, first)
+        assert state.total_messages == 800 + decision.accepts_sent
 
     def test_ball_conservation_many_rounds(self, rng):
         state = RoundState(5000, 16)

@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 
 import repro
+import repro.core.heavy as heavy_module
+from repro.core.heavy import HeavyConfig
+from repro.light import LightConfig
 from repro.api import (
     allocate_many,
     get_replicator,
@@ -35,6 +38,10 @@ LOOP_CASES.append(pytest.param("combined", 10_000, 2, id="combined-trivial"))
 
 #: The skewed + weighted scenario of the equivalence satellite.
 WL = "zipf:1.1+geomw:0.5"
+
+
+def extra_fields(result):
+    return {k: v for k, v in result.extra.items() if k != "api"}
 
 
 def metrics_rows(result):
@@ -109,6 +116,50 @@ class TestEquivalence:
             assert (b_wl is None) == (s_wl is None)
             if b_wl is not None:
                 assert b_wl == s_wl, (name, t)
+
+    @pytest.mark.parametrize(
+        "opts,block",
+        [
+            pytest.param(
+                {"config": HeavyConfig(
+                    light=LightConfig(round_budget_slack=-10)
+                )},
+                None,
+                id="budget-below-zero-sweeps",
+            ),
+            pytest.param(
+                {"config": HeavyConfig(
+                    light=LightConfig(max_contacts=2, round_budget_slack=0)
+                )},
+                None,
+                id="two-contacts-no-slack",
+            ),
+            pytest.param({"handoff": False}, None, id="no-handoff"),
+            # 160 stragglers per trial: blocks of two trials each.
+            pytest.param({}, 400, id="many-blocks"),
+        ],
+    )
+    def test_light_handoff_paths_match_sequential_loop(
+        self, opts, block, monkeypatch
+    ):
+        """Phase-2 paths the default inputs never reach, batched vs the
+        per-seed loop, field for field."""
+        if block is not None:
+            monkeypatch.setattr(heavy_module, "_LIGHT_BLOCK_STRAGGLERS", block)
+        rep = replicate("heavy", M, N, trials=TRIALS, seed=SEED, **opts)
+        seq = allocate_many(
+            "heavy", M, N, repeats=TRIALS, seed=SEED, mode="aggregate",
+            trial_batched=False, **opts,
+        )
+        assert rep.batched
+        for t in range(TRIALS):
+            b, s = rep.results[t], seq[t]
+            assert np.array_equal(b.loads, s.loads), t
+            assert (b.rounds, b.total_messages, b.complete) == (
+                s.rounds, s.total_messages, s.complete
+            ), t
+            assert metrics_rows(b) == metrics_rows(s), t
+            assert extra_fields(b) == extra_fields(s), t
 
     def test_forced_sequential_replicate_matches_batched(self):
         rep = replicate("heavy", M, N, trials=4, seed=3)

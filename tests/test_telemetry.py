@@ -411,6 +411,30 @@ class TestBitwiseIdentity:
         assert np.array_equal(off.gaps, on.gaps)
         assert np.array_equal(off.total_messages, on.total_messages)
 
+    def test_replicate_kernel_counters_match_sequential(self):
+        """The lock-step phase 2 counts trial-rounds, commits and
+        messages exactly as the per-seed loop does, and still emits a
+        ``phase="light"`` span."""
+
+        def counted(**opts):
+            tele = Telemetry()
+            with use_telemetry(tele):
+                repro.replicate("heavy", 20_000, 64, trials=16, seed=3, **opts)
+            values = tuple(
+                tele.metrics.get(name).value
+                for name in ("kernel.rounds", "kernel.commits",
+                             "kernel.messages")
+            )
+            return values, tele
+
+        batched, tele = counted()
+        sequential, _ = counted(trial_batched=False)
+        assert batched == sequential
+        assert any(
+            e["name"] == "phase" and e["args"].get("phase") == "light"
+            for e in tele.tracer.events
+        )
+
     def test_replicate_workers_sharded_under_telemetry(self):
         def run(workers):
             with use_telemetry(Telemetry()):
