@@ -83,8 +83,11 @@ class HeavyConfig:
     max_rounds:
         Safety cap on total rounds.
     track_per_ball:
-        Maintain per-ball message counters in per-ball mode (arrays of
-        size ``m``; disable for very large ``m`` to save memory).
+        Maintain per-ball message counters in per-ball mode.  They cost
+        1 byte per ball while the run lasts (each ball's commit round),
+        and 16 bytes per ball once read (int64 sent/received arrays, see
+        :class:`~repro.simulation.metrics.MessageCounter`); disable to
+        save even that at very large ``m``.
     """
 
     stop_factor: float = 2.0
@@ -312,11 +315,14 @@ def run_heavy(
         tiles of this many elements into a fresh array, with int32
         storage where the instance fits (see
         :func:`repro.fastpath.narrow_dtypes`).  Values are
-        bitwise-identical to the default path; with
-        ``config=HeavyConfig(track_per_ball=False)`` this is what
-        makes one-shot ``m = 10**8`` per-ball runs fit in a few GB
-        (see ``docs/performance.md``).  Ignored by aggregate/engine
-        kernels (they never allocate per-ball arrays).
+        bitwise-identical to the default path; this is what makes
+        one-shot ``m = 10**8`` per-ball runs fit in a few GB (see
+        ``docs/performance.md``).  The per-ball message tallies add
+        1 byte per ball (``m`` bytes, 100 MB at ``10**8``), and 16
+        bytes per ball once read; ``config=HeavyConfig(
+        track_per_ball=False)`` drops them.  Ignored by
+        aggregate/engine kernels (they never allocate per-ball
+        arrays).
 
     Returns
     -------
@@ -502,8 +508,9 @@ def _finish_heavy_run(
             # Phase-2 messages by global ball id; bin receives are folded
             # through the virtual map (uniform over virtual bins means
             # uniform over real bins).
-            ids = phase1.remaining_ids
-            counter.ball_sent[ids] += light.ball_messages  # sends+receives folded
+            counter.add_ball_sent(  # sends+receives folded
+                phase1.remaining_ids, light.ball_messages
+            )
             counter.total += light.total_messages
             assigned_real = vmap.to_real(light.assignment)
             np.add.at(counter.bin_received, assigned_real, 1)
@@ -790,7 +797,8 @@ def dynamic_heavy(
         rng_factory=factory,
         mode=mode,
         max_rounds=config.max_rounds,
-        track_per_ball=config.track_per_ball,
+        # A placement returns no per-ball tallies, so keep none.
+        track_per_ball=False,
         workload=bound,
         initial_loads=initial,
         skip_saturated_rounds=True,

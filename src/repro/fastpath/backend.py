@@ -109,12 +109,17 @@ class KernelBackend:
         choices: np.ndarray,
         capacity: np.ndarray,
         priorities: np.ndarray,
-    ) -> np.ndarray:
+        return_counts: bool = False,
+    ):
         """Boolean mask: per bin, accept the ``capacity[b]`` requests
         with the smallest priorities (ties by original index).
 
         ``capacity`` must already be clamped to ``>= 0`` and cover the
-        target space; ``priorities`` aligns with ``choices``.
+        target space; ``priorities`` aligns with ``choices``.  With
+        ``return_counts``, returns ``(mask, counts)``: ``counts`` is
+        the per-bin request count when the grouping computed one on
+        its way (``None`` otherwise), handed over so that callers need
+        not count the requests again.
         """
         raise NotImplementedError
 
@@ -221,9 +226,12 @@ class ReferenceBackend(KernelBackend):
 
     name = "reference"
 
-    def grouped_accept_with_priorities(self, choices, capacity, priorities):
+    def grouped_accept_with_priorities(
+        self, choices, capacity, priorities, return_counts=False
+    ):
         order = np.lexsort((priorities, choices))
-        return _accept_in_order(choices, order, capacity)
+        mask = _accept_in_order(choices, order, capacity)
+        return (mask, None) if return_counts else mask
 
     def _commit_winners(self, acc_ball, acc_mark):
         order2 = np.lexsort((acc_mark, acc_ball))
@@ -271,13 +279,21 @@ class FusedBackend(ReferenceBackend):
 
     name = "fused"
 
-    def grouped_accept_with_priorities(self, choices, capacity, priorities):
+    def grouped_accept_with_priorities(
+        self, choices, capacity, priorities, return_counts=False
+    ):
         n = capacity.size
         if n >= _MAX_PACKED_BINS:
             return super().grouped_accept_with_priorities(
-                choices, capacity, priorities
+                choices, capacity, priorities, return_counts
             )
         counts = np.bincount(choices, minlength=n)
+        mask = self._counted_accept(choices, capacity, priorities, counts)
+        return (mask, counts) if return_counts else mask
+
+    def _counted_accept(self, choices, capacity, priorities, counts):
+        """The accept mask, given the per-bin request ``counts``."""
+        n = capacity.size
         # Bins whose request count fits capacity accept every request;
         # zero-capacity bins reject every request.  Only the contended
         # remainder (0 < capacity < count) needs within-bin selection.
@@ -461,10 +477,12 @@ class ProfilingBackend(KernelBackend):
             backend=self.inner.name,
         )
 
-    def grouped_accept_with_priorities(self, choices, capacity, priorities):
+    def grouped_accept_with_priorities(
+        self, choices, capacity, priorities, return_counts=False
+    ):
         start = time.perf_counter()
         out = self.inner.grouped_accept_with_priorities(
-            choices, capacity, priorities
+            choices, capacity, priorities, return_counts
         )
         self._observe("grouped_accept", start)
         return out

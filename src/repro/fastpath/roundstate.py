@@ -205,6 +205,15 @@ class AcceptDecision:
     accounting used by the degree-d family).  Trial-batched states
     report it as a ``(T,)`` vector and populate ``accepted_per_bin``
     with the ``(T, n)`` accepted-count matrix.
+
+    ``bin_requests``/``bin_accepts`` ride along with ``accepted`` in a
+    per-ball ``uniform`` round with one contact per ball over the bins,
+    when the backend's grouping counted the requests per bin: those
+    counts, and ``min(counts, capacity)``, the balls each bin accepted
+    — which, every accept being a commit, is also its load increment.
+    The commit step uses them instead of scattering again, so a
+    protocol that edits ``accepted`` must pass a new decision (as
+    ``faulty`` does), not the edited one.
     """
 
     accepts_sent: Any
@@ -213,6 +222,8 @@ class AcceptDecision:
     committed_pos: Optional[np.ndarray] = None
     committed_bin: Optional[np.ndarray] = None
     resolved: bool = False
+    bin_requests: Optional[np.ndarray] = None
+    bin_accepts: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -232,7 +243,9 @@ class RoundOutcome:
     unallocated_end: Any
     #: Global ids of the balls that committed this round (perball only).
     committed_balls: Optional[np.ndarray] = None
-    #: Their target bins, aligned with ``committed_balls``.
+    #: Their target bins, aligned with ``committed_balls`` — ``None``
+    #: when the grouping's per-bin accepts placed an unweighted round
+    #: (see :class:`AcceptDecision`), which never needs them.
     committed_bins: Optional[np.ndarray] = None
 
 
@@ -711,6 +724,7 @@ class RoundState:
                 accepts_sent=k, accepted=np.ones(k, dtype=bool)
             )
         if policy == "uniform":
+            counts = None
             if delivered is not None:
                 accepted = np.zeros(k, dtype=bool)
                 if delivered.any():
@@ -719,11 +733,26 @@ class RoundState:
                     )
                     accepted[np.flatnonzero(delivered)[sub]] = True
             else:
-                accepted = grouped_accept(
-                    choices, capacity, rng, backend=self.backend
+                accepted, counts = grouped_accept(
+                    choices, capacity, rng, backend=self.backend,
+                    return_counts=True,
                 )
+            if (
+                counts is None
+                or batch.requester_pos is not None
+                or counts.size != self.n
+            ):
+                return AcceptDecision(
+                    accepts_sent=int(accepted.sum()), accepted=accepted
+                )
+            # One contact per ball over the bins: bin b accepts exactly
+            # min(count_b, capacity_b) balls, and each accept commits.
+            accepts = np.minimum(counts, np.maximum(capacity, 0))
             return AcceptDecision(
-                accepts_sent=int(accepted.sum()), accepted=accepted
+                accepts_sent=int(accepts.sum()),
+                accepted=accepted,
+                bin_requests=counts,
+                bin_accepts=accepts,
             )
         if policy == "all_or_nothing":
             if delivered is not None:
@@ -867,7 +896,13 @@ class RoundState:
             commit_bins = decision.committed_bin[committed_mask]
         elif batch.requester_pos is None:
             committed_mask = decision.accepted
-            commit_bins = batch.choices[committed_mask]
+            # The grouping's per-bin accepts stand in for each commit's
+            # bin everywhere but in the weighted loads.
+            commit_bins = (
+                batch.choices[committed_mask]
+                if decision.bin_accepts is None or self.weights is not None
+                else None
+            )
         else:
             accepted = decision.accepted
             acc_positions = batch.requester_pos[accepted]
@@ -889,7 +924,10 @@ class RoundState:
         commits = int(committed_mask.sum())
         committed_balls = balls[committed_mask]
         bins_for_load = target_bins if target_bins is not None else commit_bins
-        self.backend.scatter_counts(self.loads, bins_for_load)
+        if decision.bin_accepts is not None and target_bins is None:
+            self.loads += decision.bin_accepts
+        else:
+            self.backend.scatter_counts(self.loads, bins_for_load)
         if self.weights is not None and commits:
             # ``bins_for_load`` is aligned with the committed set (its
             # pairing is the assignment the protocol chose), so the
@@ -905,11 +943,18 @@ class RoundState:
             and not decision.resolved
             and batch.requester_pos is None
         ):
-            self.counter.record_bulk_ball_to_bin(batch.choices, balls)
-            if record_accepts:
-                self.counter.record_bulk_bin_to_ball(
-                    commit_bins, committed_balls
-                )
+            self.counter.record_round(
+                balls,
+                committed_balls,
+                batch.choices,
+                commit_bins,
+                accepts=record_accepts,
+                per_bin=(
+                    None
+                    if decision.bin_requests is None
+                    else (decision.bin_requests, decision.bin_accepts)
+                ),
+            )
         self.active = balls[~committed_mask]
         return self._close_round(
             batch,

@@ -292,7 +292,8 @@ def grouped_accept(
     capacity: np.ndarray,
     rng: np.random.Generator,
     backend: BackendLike = None,
-) -> np.ndarray:
+    return_counts: bool = False,
+):
     """Boolean mask: which flat requests are accepted.
 
     Each bin ``b`` accepts ``min(capacity[b], #requests to b)`` of its
@@ -317,6 +318,10 @@ def grouped_accept(
     backend:
         Kernel backend (name or instance); ``None`` resolves the
         ambient selection (:func:`repro.fastpath.backend.resolve_backend`).
+    return_counts:
+        Return ``(mask, counts)``, where ``counts`` is the per-bin
+        request count if the backend's grouping computed it, else
+        ``None`` (also for rounds that skip the grouping).
     """
     choices = np.asarray(choices)
     capacity = np.atleast_1d(np.asarray(capacity))
@@ -325,7 +330,8 @@ def grouped_accept(
         # Empty request round (e.g. a schedule running past the last
         # active ball with ``stop_when_empty=False``): nothing to
         # group, no RNG consumed.
-        return np.zeros(0, dtype=bool)
+        mask = np.zeros(0, dtype=bool)
+        return (mask, None) if return_counts else mask
     if not np.issubdtype(choices.dtype, np.integer):
         raise ValueError(
             f"choices must be an integer array, got dtype {choices.dtype}"
@@ -336,9 +342,11 @@ def grouped_accept(
     if int(cap.max(initial=0)) == 0:
         # Every bin saturated (zero-capacity round): all requests are
         # rejected; skip the grouping and its priority draws.
-        return np.zeros(k, dtype=bool)
+        mask = np.zeros(k, dtype=bool)
+        return (mask, None) if return_counts else mask
     return grouped_accept_with_priorities(
-        choices, cap, rng.random(k), backend=backend
+        choices, cap, rng.random(k), backend=backend,
+        return_counts=return_counts,
     )
 
 
@@ -347,7 +355,8 @@ def grouped_accept_with_priorities(
     capacity: np.ndarray,
     priorities: np.ndarray,
     backend: BackendLike = None,
-) -> np.ndarray:
+    return_counts: bool = False,
+):
     """The deterministic core of :func:`grouped_accept`.
 
     Accept the lowest-priority requests of each bin up to capacity.
@@ -363,7 +372,8 @@ def grouped_accept_with_priorities(
     ambient context, identical in value either way.
 
     ``capacity`` must already be clamped to ``>= 0``; ``priorities``
-    must align with ``choices``.
+    must align with ``choices``.  ``return_counts`` is as in
+    :func:`grouped_accept`.
     """
     if priorities.shape != choices.shape:
         raise ValueError(
@@ -371,5 +381,5 @@ def grouped_accept_with_priorities(
             f"shape {choices.shape}"
         )
     return resolve_backend(backend).grouped_accept_with_priorities(
-        choices, capacity, priorities
+        choices, capacity, priorities, return_counts
     )

@@ -204,16 +204,15 @@ class AllocationResult:
         messages = None
         if data.get("messages") is not None:
             c_data = data["messages"]
-            messages = MessageCounter(int(c_data["m"]), int(c_data["n"]))
-            messages.ball_sent = np.asarray(c_data["ball_sent"], dtype=np.int64)
-            messages.ball_received = np.asarray(
-                c_data["ball_received"], dtype=np.int64
+            messages = MessageCounter.from_arrays(
+                int(c_data["m"]),
+                int(c_data["n"]),
+                ball_sent=c_data["ball_sent"],
+                ball_received=c_data["ball_received"],
+                bin_sent=c_data["bin_sent"],
+                bin_received=c_data["bin_received"],
+                total=c_data["total"],
             )
-            messages.bin_sent = np.asarray(c_data["bin_sent"], dtype=np.int64)
-            messages.bin_received = np.asarray(
-                c_data["bin_received"], dtype=np.int64
-            )
-            messages.total = int(c_data["total"])
         return cls(
             algorithm=data["algorithm"],
             m=int(data["m"]),

@@ -99,6 +99,47 @@ class TestGroupingPrimitive:
         )
         np.testing.assert_array_equal(ref, fus)
 
+    @COMMON
+    @given(
+        seed=st.integers(0, 2**31),
+        k=st.integers(0, 3000),
+        n=st.integers(1, 200),
+        cap_hi=st.integers(0, 60),
+        skew=st.floats(0.0, 2.0),
+    )
+    def test_request_counts_are_handed_over(self, seed, k, n, cap_hi, skew):
+        """``return_counts``: the fused grouping hands over the per-bin
+        request counts it computed (also through the profiling
+        wrapper); the reference has none.  The mask is unchanged, and
+        each bin accepts ``min(count, capacity)``."""
+        from repro import Telemetry
+        from repro.fastpath.backend import ProfilingBackend
+
+        choices, capacity, priorities = _instance(
+            seed, k, n, cap_hi, skew, False
+        )
+        mask = REFERENCE.grouped_accept_with_priorities(
+            choices, capacity, priorities
+        )
+        ref_mask, ref_counts = REFERENCE.grouped_accept_with_priorities(
+            choices, capacity, priorities, return_counts=True
+        )
+        assert ref_counts is None
+        np.testing.assert_array_equal(ref_mask, mask)
+        profiled = ProfilingBackend(FUSED, Telemetry())
+        for backend in (FUSED, profiled):
+            fus_mask, counts = backend.grouped_accept_with_priorities(
+                choices, capacity, priorities, return_counts=True
+            )
+            np.testing.assert_array_equal(fus_mask, mask)
+            np.testing.assert_array_equal(
+                counts, np.bincount(choices, minlength=n)
+            )
+        np.testing.assert_array_equal(
+            np.bincount(choices[mask], minlength=n),
+            np.minimum(counts, capacity),
+        )
+
     def test_priorities_at_one_take_the_fallback(self):
         # p = 1.0 would overflow the 32-bit mark into the bin field;
         # the fused path must detect it and still match reference.
@@ -744,3 +785,66 @@ class TestPinnedRegression:
         )
         assert res.extra["api"]["backend"] == "reference"
         self._check(res)
+
+
+def _crc(values) -> int:
+    return zlib.crc32(np.ascontiguousarray(values, dtype="<i8").tobytes())
+
+
+class TestMessageCounterPins:
+    """Loads, total messages and every per-ball/per-bin message tally,
+    pinned on both backends to the values recorded before the ball
+    tallies became commit rounds and the fused grouping's per-bin
+    counts began to feed loads and bin tallies.  ``dchoice`` (``d > 1``),
+    ``faulty`` (a ``delivered`` mask, crashes) and ``asymmetric``
+    (``target_bins``) are the rounds that must not take the handover.
+
+    Rows: loads crc32, total messages, then (counted runs only) crc32 of
+    ``ball_sent``, ``ball_received``, ``bin_sent``, ``bin_received``,
+    the counter's ``total`` and the crc32 of its ``to_dict`` JSON.
+    """
+
+    HEAVY = [3995168292, 44937, 2516795114, 396494920, 1605886346,
+             1653901530, 44937, 328005479]
+    CASES = [
+        ("heavy", 20_000, 64, dict(seed=0), HEAVY),
+        ("heavy", 200_000, 256, dict(seed=2),
+         [2453987744, 432166, 263436445, 1514113770, 2107860596,
+          2027759318, 432166, 1752862205]),
+        ("heavy", 20_000, 64, dict(seed=0, chunk_size=1000), HEAVY),
+        ("heavy", 20_000, 64, dict(seed=1, workload="zipf:1.1+geomw:0.5"),
+         [3111780844, 91017, 1044941362, 11849067, 3245988707, 3986674632,
+          91017, 4201899827]),
+        ("single", 20_000, 64, dict(seed=0),
+         [1053087530, 20000, 2965932597, 670107693, 2997515640, 1053087530,
+          20000, 1568454284]),
+        ("asymmetric", 20_000, 64, dict(seed=0),
+         [404030948, 48191, 683850821, 2965932597, 2532153715, 2666023970,
+          48191, 3338752680]),
+        ("combined", 20_000, 64, dict(seed=0), HEAVY),
+        ("dchoice", 20_000, 64, dict(seed=0), [3355892822, 6320778]),
+        ("faulty", 20_000, 64,
+         dict(seed=0, crash_prob=0.05, loss_prob=0.05),
+         [3731366069, 40762]),
+    ]
+
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    @pytest.mark.parametrize(
+        "name,m,n,kwargs,pin", CASES,
+        ids=[f"{c[0]}-{c[1]}-{'-'.join(map(str, c[3].values()))}"
+             for c in CASES],
+    )
+    def test_pinned(self, backend, name, m, n, kwargs, pin):
+        import json
+
+        mode = {} if name in ("dchoice", "faulty") else {"mode": "perball"}
+        res = repro.allocate(name, m, n, backend=backend, **mode, **kwargs)
+        row = [_crc(res.loads), int(res.total_messages)]
+        c = res.messages
+        if c is not None:
+            row += [
+                _crc(c.ball_sent), _crc(c.ball_received), _crc(c.bin_sent),
+                _crc(c.bin_received), int(c.total),
+                zlib.crc32(json.dumps(res.to_dict()["messages"]).encode()),
+            ]
+        assert row == pin

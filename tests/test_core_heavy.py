@@ -206,6 +206,38 @@ class TestThresholdProtocolGeneric:
         assert out.loads.sum() + out.remaining == m
 
 
+class _OnePerRound(FixedSchedule):
+    """Threshold ``i + 1`` in round ``i``: each bin takes at most one
+    ball per round, so ``m`` balls in ``n`` bins need ``~m/n`` rounds."""
+
+    def raw_threshold(self, round_index: int) -> float:
+        return round_index + 1
+
+
+class TestPerBallTallies:
+    def test_more_than_255_rounds(self):
+        """Past 255 recorded rounds the per-ball commit rounds widen;
+        every tally still follows from the per-round metrics."""
+        m, n = 1600, 4
+        out = run_threshold_protocol(
+            m, n, _OnePerRound(m, n), rng_factory=RngFactory(2)
+        )
+        assert out.remaining == 0 and out.rounds > 300
+        c = out.counter
+        rows = out.metrics.rounds
+        for r, row in enumerate(rows):
+            # The balls that committed in round r sent r + 1 requests.
+            assert np.sum((c.ball_sent == r + 1) & (c.ball_received == 1)) == (
+                row.commits
+            )
+        assert c.ball_sent.sum() == c.bin_received.sum() == sum(
+            row.requests_sent for row in rows
+        )
+        np.testing.assert_array_equal(c.ball_received, np.ones(m))
+        np.testing.assert_array_equal(c.bin_sent, out.loads)
+        assert c.total == out.total_messages
+
+
 class TestMessageTailGeometric:
     def test_per_ball_message_tail_decays_geometrically(self):
         """Theorem 6's proof: Pr[ball sends > l messages] <= 2^-l — the

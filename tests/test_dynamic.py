@@ -563,6 +563,34 @@ class TestAdapters:
             assert np.array_equal(p.loads, initial)
             assert p.placed == 0 and p.total_messages == 0
 
+    def test_heavy_placements_keep_no_per_ball_tallies(self, monkeypatch):
+        """A placement returns no message counter, so per-ball epochs
+        and service flushes must not build one."""
+        from repro.service import AllocatorService
+        from repro.service.events import SimulatedClock
+        from repro.simulation.metrics import MessageCounter
+
+        built = []
+        init = MessageCounter.__init__
+
+        def counting_init(self, m, n):
+            built.append((m, n))
+            init(self, m, n)
+
+        monkeypatch.setattr(MessageCounter, "__init__", counting_init)
+        repro.run_dynamic(
+            "heavy", 20_000, 64, epochs=3, churn=0.2, mode="perball", seed=1
+        )
+        svc = AllocatorService(
+            "heavy", 64, seed=1, clock=SimulatedClock(), mode="perball",
+            auto_flush=False,
+        )
+        svc.place(5_000)
+        assert svc.flush(all_pending=True) is not None
+        assert built == []
+        repro.allocate("heavy", 2_000, 16, mode="perball", seed=1)
+        assert built == [(2_000, 16)]
+
     def test_heavy_levels_imbalanced_residents(self):
         # Half the bins far above the population average: the cohort
         # must land in the cold bins (the hot ones are saturated at

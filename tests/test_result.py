@@ -117,3 +117,36 @@ class TestSerialization:
         data["schema"] = 99
         with pytest.raises(ValueError, match="schema"):
             AllocationResult.from_dict(data)
+
+    def test_counter_round_trip_is_exact(self):
+        import json
+
+        import repro
+
+        res = repro.allocate("heavy", 2000, 16, mode="perball", seed=4)
+        back = AllocationResult.from_dict(json.loads(json.dumps(res.to_dict())))
+        for field in ("ball_sent", "ball_received", "bin_sent", "bin_received"):
+            np.testing.assert_array_equal(
+                getattr(back.messages, field), getattr(res.messages, field)
+            )
+        assert back.messages.total == res.messages.total
+        assert back.messages.summary() == res.messages.summary()
+
+    @pytest.mark.parametrize("field", ["ball_sent", "bin_received"])
+    def test_counter_array_of_wrong_length_rejected(self, field):
+        import repro
+
+        data = repro.allocate("heavy", 2000, 16, mode="perball", seed=4).to_dict()
+        data["messages"][field] = data["messages"][field][:5]
+        with pytest.raises(ValueError, match=field):
+            AllocationResult.from_dict(data)
+
+    def test_counter_array_must_be_integer(self):
+        import repro
+
+        data = repro.allocate("heavy", 2000, 16, mode="perball", seed=4).to_dict()
+        data["messages"]["ball_received"] = [
+            float(v) + 0.5 for v in data["messages"]["ball_received"]
+        ]
+        with pytest.raises(ValueError, match="ball_received"):
+            AllocationResult.from_dict(data)
