@@ -104,7 +104,7 @@ def run_parallel_dchoice(
     if wl.pvals is None:
         candidates = rng.integers(0, n, size=(m, d), dtype=np.int64)
     else:
-        candidates = sample_choices(m * d, n, rng, wl.pvals).reshape(m, d)
+        candidates = sample_choices(m * d, n, rng, wl.sampler).reshape(m, d)
     state = RoundState(m, n, weights=wl.weights)
 
     while state.active_count > 0 and state.rounds < max_rounds:

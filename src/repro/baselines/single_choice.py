@@ -88,7 +88,7 @@ def run_single_choice(
         weights=bound.weights,
         weight_sum_sampler=bound.weight_sum_sampler,
     )
-    batch = state.sample_contacts(rng, pvals=bound.pvals)
+    batch = state.sample_contacts(rng, pvals=bound.sampler)
     decision = state.group_and_accept(batch, None)
     state.commit_and_revoke(
         batch, decision, accept_cost=0, record_accepts=False
@@ -153,7 +153,7 @@ def replicate_single_choice(
         trials=trials,
         weight_sum_sampler=samplers if weighted else None,
     )
-    batch = state.sample_contacts(rngs, pvals=bounds[0].pvals)
+    batch = state.sample_contacts(rngs, pvals=bounds[0].sampler)
     decision = state.group_and_accept(batch, None)
     state.commit_and_revoke(
         batch, decision, accept_cost=0, record_accepts=False
@@ -230,7 +230,7 @@ def dynamic_single_choice(
         weight_sum_sampler=bound.weight_sum_sampler,
         initial_loads=initial,
     )
-    batch = state.sample_contacts(rng, pvals=bound.pvals)
+    batch = state.sample_contacts(rng, pvals=bound.sampler)
     decision = state.group_and_accept(batch, None)
     state.commit_and_revoke(
         batch, decision, accept_cost=0, record_accepts=False

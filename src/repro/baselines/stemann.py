@@ -115,7 +115,7 @@ def run_stemann(
         weight_sum_sampler=wl.weight_sum_sampler,
     )
     while state.active_count > 0 and state.rounds < max_rounds:
-        batch = state.sample_contacts(rng, pvals=wl.pvals)
+        batch = state.sample_contacts(rng, pvals=wl.sampler)
         decision = state.group_and_accept(
             batch, bounds - state.loads, policy="all_or_nothing"
         )
@@ -185,7 +185,7 @@ def replicate_stemann(
         weight_sum_sampler=samplers if weighted else None,
     )
     while state.any_active and state.rounds < max_rounds:
-        batch = state.sample_contacts(rngs, pvals=wls[0].pvals)
+        batch = state.sample_contacts(rngs, pvals=wls[0].sampler)
         decision = state.group_and_accept(
             batch, bounds - state.loads, policy="all_or_nothing"
         )
@@ -280,7 +280,7 @@ def dynamic_stemann(
         capacity = bounds - state.loads
         if not np.any(capacity > 0):
             break  # every bin saturated: no draw could ever land
-        batch = state.sample_contacts(rng, pvals=wl.pvals)
+        batch = state.sample_contacts(rng, pvals=wl.sampler)
         decision = state.group_and_accept(
             batch, capacity, policy="all_or_nothing"
         )

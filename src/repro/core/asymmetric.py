@@ -266,7 +266,7 @@ def run_asymmetric(
         # T_0 = m/n - (m/n)^(2/3); w.h.p. every bin fills to exactly T_0.
         t0 = max(0, math.floor(m / n - (m / n) ** (2.0 / 3.0)))
         presym_t0 = t0
-        batch = state.sample_contacts(rng, pvals=wl.pvals)
+        batch = state.sample_contacts(rng, pvals=wl.sampler)
         if wl.capacity_scale is None:
             presym_caps = np.full(n, t0, dtype=np.int64)
         else:
@@ -326,7 +326,7 @@ def run_asymmetric(
             # per-superbin request rate proportional to block size (or
             # traffic share), and degenerates to the paper's
             # uniform-superbin choice in the divisible case n_r | n.
-            bin_pick = state.sample_contacts(rng, pvals=wl.pvals)
+            bin_pick = state.sample_contacts(rng, pvals=wl.sampler)
             superbin_choice = (
                 np.searchsorted(blocks, bin_pick.choices, side="right") - 1
             )

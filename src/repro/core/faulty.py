@@ -276,7 +276,7 @@ def run_heavy_faulty(
         # Thresholds: schedule value, held at its last level past the
         # planned horizon (the bins keep their final capacity open).
         threshold = sched.threshold(min(state.rounds, base_rounds - 1))
-        batch = state.sample_contacts(rng, pvals=wl.pvals)
+        batch = state.sample_contacts(rng, pvals=wl.sampler)
         # Request loss: only delivered requests reach their bins (and
         # only they are charged as sent).
         if loss_prob > 0:

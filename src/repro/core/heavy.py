@@ -219,7 +219,7 @@ def run_threshold_protocol(
         thresholds.append(threshold)
         if tele is not None:
             round_start = tele.begin()
-        batch = state.sample_contacts(rng, pvals=bound.pvals)
+        batch = state.sample_contacts(rng, pvals=bound.sampler)
         decision = state.group_and_accept(batch, capacity, accept_rng)
         state.commit_and_revoke(batch, decision, threshold=threshold)
         if tele is not None:
@@ -566,7 +566,6 @@ def run_threshold_protocol_batched(
     # aggregate kernels never draw from it, so creation is skipped here.
     samplers = [b.weight_sum_sampler for b in bounds]
     weighted = any(s is not None for s in samplers)
-    pvals = bounds[0].pvals
 
     planned = schedule.phase1_rounds()
     cap_rounds = max_rounds if max_rounds is not None else 100_000
@@ -585,7 +584,7 @@ def run_threshold_protocol_batched(
         threshold = schedule.threshold(state.rounds)
         thresholds.append(threshold)
         capacity = np.maximum(bounds[0].capacities(threshold) - state.loads, 0)
-        batch = state.sample_contacts(rngs, pvals=pvals)
+        batch = state.sample_contacts(rngs, pvals=bounds[0].sampler)
         decision = state.group_and_accept(batch, capacity)
         state.commit_and_revoke(batch, decision, threshold=threshold)
 
@@ -848,7 +847,7 @@ def dynamic_heavy(
             )
             if not np.any(capacity > 0):
                 break
-            batch = state.sample_contacts(settle_rng, pvals=bound.pvals)
+            batch = state.sample_contacts(settle_rng, pvals=bound.sampler)
             decision = state.group_and_accept(
                 batch, capacity, settle_accept
             )

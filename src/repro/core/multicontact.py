@@ -90,7 +90,7 @@ def run_heavy_multicontact(
 
     while state.rounds < rounds_budget and state.active_count > 0:
         threshold = sched.threshold(state.rounds)
-        batch = state.sample_contacts(rng, d=d, pvals=wl.pvals)
+        batch = state.sample_contacts(rng, d=d, pvals=wl.sampler)
         # Messages: u*d requests; accepts are bounded by capacity opened
         # this round — count commits plus revoked accepts conservatively
         # as <= u*d responses; we track requests + one accept + one

@@ -53,6 +53,8 @@ class ThresholdSchedule(abc.ABC):
 
     def __init__(self, m: int, n: int) -> None:
         self.m, self.n = ensure_m_n(m, n, require_heavy=True)
+        # _prefix_max[i] = max(0, raw_threshold(0..i)), extended lazily.
+        self._prefix_max: list[float] = []
 
     @abc.abstractmethod
     def raw_threshold(self, round_index: int) -> float:
@@ -71,11 +73,14 @@ class ThresholdSchedule(abc.ABC):
         """Integral, monotone, non-negative ``T_i``."""
         if round_index < 0:
             raise ValueError(f"round_index must be >= 0, got {round_index}")
-        values = [self.raw_threshold(i) for i in range(round_index + 1)]
-        best = 0.0
-        for v in values:
-            best = max(best, v)
-        return max(0, math.floor(best))
+        # Extend the prefix maximum only past what earlier calls built,
+        # so a run of R rounds makes R raw_threshold calls in all.
+        prefix = self._prefix_max
+        best = prefix[-1] if prefix else 0.0
+        for i in range(len(prefix), round_index + 1):
+            best = max(best, self.raw_threshold(i))
+            prefix.append(best)
+        return max(0, math.floor(prefix[round_index]))
 
     def capacity(self, round_index: int) -> int:
         """Fresh capacity opened in round ``i``: ``T_i - T_{i-1}``."""

@@ -58,11 +58,13 @@ from repro.fastpath.roundstate import (
     priority_commit_accept,
 )
 from repro.fastpath.sampling import (
+    ChoiceSampler,
     fill_choices,
     grouped_accept,
     grouped_accept_with_priorities,
     multinomial_occupancy,
     multinomial_occupancy_batched,
+    prepare_choices,
     sample_choices,
     sample_uniform_choices,
     validate_pvals,
@@ -71,6 +73,7 @@ from repro.fastpath.sampling import (
 __all__ = [
     "AcceptDecision",
     "BACKEND_ENV_VAR",
+    "ChoiceSampler",
     "ContactBatch",
     "DEFAULT_BACKEND",
     "FusedBackend",
@@ -86,6 +89,7 @@ __all__ = [
     "multinomial_occupancy",
     "multinomial_occupancy_batched",
     "narrow_dtypes",
+    "prepare_choices",
     "priority_commit_accept",
     "register_backend",
     "resolve_backend",

@@ -90,13 +90,14 @@ saturation tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Literal, Optional, Sequence
+from typing import Any, Literal, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.fastpath.backend import BackendLike, resolve_backend
 from repro.telemetry import current_telemetry
 from repro.fastpath.sampling import (
+    ChoiceSampler,
     fill_choices,
     grouped_accept,
     multinomial_occupancy,
@@ -320,9 +321,10 @@ class RoundState:
     ``weight_sum_sampler`` (aggregate) switch on the parallel
     ``weighted_loads`` vector — the per-bin weighted intake tracked
     alongside the count-based ``loads`` that all capacity rules use.
-    ``sample_contacts`` accepts workload choice ``pvals`` at both
-    granularities.  With all workload arguments at their defaults the
-    state is bitwise-identical to the pre-workload kernels.
+    ``sample_contacts`` accepts workload choice ``pvals`` (raw or
+    prepared) at both granularities.  With all workload arguments at
+    their defaults the state is bitwise-identical to the pre-workload
+    kernels.
 
     Trial batching: ``trials=T`` (aggregate granularity only) gives
     every array a leading trial axis and advances T independent
@@ -580,7 +582,7 @@ class RoundState:
         d: int = 1,
         targets: Optional[np.ndarray] = None,
         n_targets: Optional[int] = None,
-        pvals: Optional[np.ndarray] = None,
+        pvals: Union[None, np.ndarray, ChoiceSampler] = None,
     ) -> ContactBatch:
         """Draw (or adopt) this round's request targets.
 
@@ -599,10 +601,13 @@ class RoundState:
             Size of the target space when it is not the bin count.
         pvals:
             Non-uniform target probabilities: workload choice skew, or
-            derived spaces with unequal blocks (superbins).  Default
-            uniform over the target space at both granularities; the
-            uniform path consumes the RNG exactly as the historical
-            samplers did.
+            derived spaces with unequal blocks (superbins).  A
+            :class:`~repro.fastpath.sampling.ChoiceSampler` (a bound
+            workload's ``sampler``) skips the per-round validation; a
+            raw vector is prepared for this round alone, with the same
+            draws.  Default uniform over the target space at both
+            granularities; the uniform path consumes the RNG exactly as
+            the historical samplers did.
 
         Trial-batched states take ``rng`` as a sequence of per-trial
         generators; each live trial draws its own multinomial row and

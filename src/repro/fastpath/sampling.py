@@ -38,22 +38,35 @@ through a bounded temporary tile.  It relies on the fact that numpy's
 size-``k`` draw into sequential tiles yields the bitwise-identical
 concatenation — the stream-accounting property the chunked-equivalence
 tests pin.
+
+Prepared distributions: :class:`ChoiceSampler` validates a choice
+distribution once and keeps its CDF plus a guide table, so a protocol
+that draws from one distribution round after round (a workload
+binding, see :func:`repro.workloads.bind_workload`) pays for the
+validation and the cumsum once.  Every ``pvals`` argument above takes
+``None``, a raw vector (prepared on entry) or a prepared sampler, so
+there is one non-uniform code path.  A draw returns exactly
+``searchsorted(cdf, rng.random(k), side="right")`` — large draws start
+from the guide table and step forward instead of binary-searching
+every key (``docs/performance.md``, "Prepared contact sampler").
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.fastpath.backend import BackendLike, resolve_backend
 
 __all__ = [
+    "ChoiceSampler",
     "fill_choices",
     "grouped_accept",
     "grouped_accept_with_priorities",
     "multinomial_occupancy",
     "multinomial_occupancy_batched",
+    "prepare_choices",
     "sample_choices",
     "sample_uniform_choices",
     "validate_pvals",
@@ -103,6 +116,102 @@ def validate_pvals(pvals: np.ndarray, n_bins: int) -> np.ndarray:
     return arr if total == 1.0 else arr / total
 
 
+#: Draws of fewer keys binary-search the CDF; larger ones walk from the
+#: guide table, whose per-pass overhead loses on small draws.
+_WALK_MIN_KEYS = 512
+
+
+class ChoiceSampler:
+    """A choice distribution validated once and prepared for draws.
+
+    ``p`` is ``validate_pvals(pvals, n_bins)`` — the very call every
+    unprepared draw makes, on the same input, so the prepared and the
+    unprepared draws see bitwise-equal probabilities — and ``cdf`` is
+    its cumsum with ``cdf[-1] = 1.0``.  Both are private read-only
+    copies: mutating the caller's vector after preparation changes no
+    draw.
+
+    :meth:`lookup` maps keys ``u`` in ``[0, 1)`` to
+    ``searchsorted(cdf, u, side="right")``, bit for bit.  Draws of at
+    least ``_WALK_MIN_KEYS`` keys start at ``guide[floor(u * G)]`` and
+    step forward while ``cdf[idx] <= u``, where the guide table (built
+    on the first such draw) holds ``guide[j] = searchsorted(cdf, j / G,
+    side="right")`` for the smallest power of two ``G >= 4n``.
+
+    Exactness: ``u * G`` only shifts the exponent, so ``floor(u * G) /
+    G <= u`` and the walk starts at or below the answer; ``cdf[-1] =
+    1.0 > u`` stops it by ``n - 1``.  The predicate ``cdf[i] > u`` stays
+    monotone even when the cumsum overshoots 1.0 before its last entry,
+    so the walk and the binary search agree there too.
+    """
+
+    __slots__ = ("n", "p", "cdf", "_guide")
+
+    def __init__(self, pvals, n_bins: int) -> None:
+        p = validate_pvals(pvals, n_bins)
+        cdf = np.cumsum(p)
+        cdf[-1] = 1.0  # guard the top edge against cumsum rounding
+        p.flags.writeable = False
+        cdf.flags.writeable = False
+        self.n = n_bins
+        self.p = p
+        self.cdf = cdf
+        self._guide: Optional[np.ndarray] = None
+
+    def _build_guide(self) -> np.ndarray:
+        n = self.n
+        # The smallest power of two >= 4n.  On quarantined-uniform and
+        # Zipf(1.1) vectors a key then walks 0.08-0.12 steps on average
+        # and at most 3; with G = 2^ceil(log2 n) it was 0.3-0.5 and 11.
+        size = 1 << (4 * n - 1).bit_length()
+        # cdf[i] <= j / G  <=>  ceil(cdf[i] * G) <= j: scaling by a power
+        # of two is exact, so counting slots reproduces searchsorted at
+        # every slot edge in O(n + G).  Entries past the last slot
+        # (cdf = 1.0, or a cumsum overshoot) never count.
+        slots = np.minimum(np.ceil(self.cdf * size), size).astype(np.intp)
+        guide = np.cumsum(np.bincount(slots, minlength=size + 1)[:size])
+        self._guide = guide.astype(
+            np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        )
+        return self._guide
+
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        """``searchsorted(cdf, u, side="right")`` for keys in ``[0, 1)``."""
+        cdf = self.cdf
+        if u.size < _WALK_MIN_KEYS:
+            return np.searchsorted(cdf, u, side="right")
+        guide = self._guide if self._guide is not None else self._build_guide()
+        idx = guide[(u * guide.size).astype(np.intp)]
+        # Step only the keys still below their answer, shrinking the set
+        # each pass: the cost is the total walk length.
+        walk = np.flatnonzero(cdf[idx] <= u)
+        while walk.size:
+            idx[walk] += 1
+            walk = walk[cdf[idx[walk]] <= u[walk]]
+        return idx
+
+    def draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        """``k`` i.i.d. bin indices as int64, one ``rng.random`` key each."""
+        return self.lookup(rng.random(k)).astype(np.int64, copy=False)
+
+
+def prepare_choices(pvals, n_bins: int) -> Optional[ChoiceSampler]:
+    """``None`` (uniform), or ``pvals`` prepared over ``n_bins`` bins.
+
+    A :class:`ChoiceSampler` passes through (its bin count must match);
+    a raw probability vector is validated and prepared.
+    """
+    if pvals is None:
+        return None
+    if isinstance(pvals, ChoiceSampler):
+        if pvals.n != n_bins:
+            raise ValueError(
+                f"prepared sampler has {pvals.n} bins, expected {n_bins}"
+            )
+        return pvals
+    return ChoiceSampler(pvals, n_bins)
+
+
 def sample_uniform_choices(
     k: int, n_bins: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -118,7 +227,7 @@ def sample_choices(
     k: int,
     n_bins: int,
     rng: np.random.Generator,
-    pvals: Optional[np.ndarray] = None,
+    pvals: Union[None, np.ndarray, ChoiceSampler] = None,
 ) -> np.ndarray:
     """``k`` i.i.d. bin indices drawn from ``pvals`` (uniform if None).
 
@@ -126,8 +235,9 @@ def sample_choices(
     :func:`sample_uniform_choices` — same RNG consumption, bitwise
     identical — so workload-aware call sites stay seed-compatible with
     the historical uniform samplers.  The non-uniform path uses
-    inverse-CDF sampling (``searchsorted`` on the cumulative
-    distribution), one uniform draw per request.
+    inverse-CDF sampling through a :class:`ChoiceSampler` (``pvals`` is
+    prepared on entry unless it already is one), one uniform draw per
+    request.
     """
     if pvals is None:
         return sample_uniform_choices(k, n_bins, rng)
@@ -135,23 +245,17 @@ def sample_choices(
         raise ValueError(f"k must be >= 0, got {k}")
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    p = validate_pvals(pvals, n_bins)
+    sampler = prepare_choices(pvals, n_bins)
     if k == 0:
         return np.zeros(0, dtype=np.int64)
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0  # guard the top edge against cumsum rounding
-    choices = np.searchsorted(cdf, rng.random(k), side="right")
-    # searchsorted can only exceed the range if rng.random() returned a
-    # value >= cdf[-1] = 1.0, which it cannot; clip keeps this airtight
-    # for subnormal pathologies at zero cost.
-    return np.minimum(choices, n_bins - 1).astype(np.int64, copy=False)
+    return sampler.draw(k, rng)
 
 
 def fill_choices(
     out: np.ndarray,
     n_bins: int,
     rng: np.random.Generator,
-    pvals: Optional[np.ndarray] = None,
+    pvals: Union[None, np.ndarray, ChoiceSampler] = None,
     chunk_size: Optional[int] = None,
 ) -> np.ndarray:
     """Fill ``out`` with ``sample_choices(out.size, n_bins, rng, pvals)``.
@@ -180,19 +284,13 @@ def fill_choices(
             f"n_bins={n_bins} does not fit in out dtype {out.dtype}"
         )
     tile = max(1, k if chunk_size is None else int(chunk_size))
-    p = None
-    cdf = None
-    if pvals is not None:
-        p = validate_pvals(pvals, n_bins)
-        cdf = np.cumsum(p)
-        cdf[-1] = 1.0
+    sampler = prepare_choices(pvals, n_bins)
     for lo in range(0, k, tile):
         hi = min(lo + tile, k)
-        if cdf is None:
+        if sampler is None:
             out[lo:hi] = rng.integers(0, n_bins, size=hi - lo, dtype=np.int64)
         else:
-            draws = np.searchsorted(cdf, rng.random(hi - lo), side="right")
-            out[lo:hi] = np.minimum(draws, n_bins - 1)
+            out[lo:hi] = sampler.lookup(rng.random(hi - lo))
     return out
 
 
@@ -200,7 +298,7 @@ def multinomial_occupancy(
     k: int,
     n_bins: int,
     rng: np.random.Generator,
-    pvals: Optional[np.ndarray] = None,
+    pvals: Union[None, np.ndarray, ChoiceSampler] = None,
 ) -> np.ndarray:
     """Per-bin request counts for ``k`` exchangeable requests.
 
@@ -209,7 +307,8 @@ def multinomial_occupancy(
     Uses the conditional binomial decomposition internally via numpy's
     ``multinomial``, which accepts 64-bit ``k``.  ``pvals=None`` is the
     historical uniform path (bitwise unchanged); any validated
-    probability vector generalizes it to skewed choice distributions.
+    probability vector (or a :class:`ChoiceSampler`'s ``p``)
+    generalizes it to skewed choice distributions.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -217,18 +316,21 @@ def multinomial_occupancy(
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     if k == 0:
         return np.zeros(n_bins, dtype=np.int64)
+    return rng.multinomial(k, _multinomial_p(pvals, n_bins)).astype(np.int64)
+
+
+def _multinomial_p(pvals, n_bins: int) -> np.ndarray:
+    """The probability vector a multinomial draw over ``n_bins`` uses."""
     if pvals is None:
-        p = np.full(n_bins, 1.0 / n_bins)
-    else:
-        p = validate_pvals(pvals, n_bins)
-    return rng.multinomial(k, p).astype(np.int64)
+        return np.full(n_bins, 1.0 / n_bins)
+    return prepare_choices(pvals, n_bins).p
 
 
 def multinomial_occupancy_batched(
     ks: np.ndarray,
     n_bins: int,
     rngs,
-    pvals: Optional[np.ndarray] = None,
+    pvals: Union[None, np.ndarray, ChoiceSampler] = None,
     active: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-bin request counts for ``T`` independent trials at once.
@@ -250,7 +352,8 @@ def multinomial_occupancy_batched(
     rngs:
         Sequence of ``T`` generators, one per trial.
     pvals:
-        Optional shared choice distribution (validated once).
+        Optional shared choice distribution, raw or prepared (validated
+        once either way).
     active:
         Optional boolean mask of live trials; inactive rows stay zero.
     """
@@ -272,10 +375,7 @@ def multinomial_occupancy_batched(
             raise ValueError(
                 f"active mask must have shape ({trials},), got {active.shape}"
             )
-    if pvals is None:
-        p = np.full(n_bins, 1.0 / n_bins)
-    else:
-        p = validate_pvals(pvals, n_bins)
+    p = _multinomial_p(pvals, n_bins)
     counts = np.zeros((trials, n_bins), dtype=np.int64)
     for t in range(trials):
         if active is not None and not active[t]:

@@ -203,7 +203,7 @@ def run_light_batch(
     ball_offsets = np.array([0, *accumulate(sizes)], dtype=np.int64)
     caps = np.full(int(bin_offsets[-1]), config.capacity, dtype=np.int64)
     totals = [config.capacity * b for b in spaces]
-    pvals: list = [None] * trials
+    choice_samplers: list = [None] * trials
     weights = None
     wl_spec = as_workload(workload)
     if wl_spec is not None:
@@ -214,7 +214,7 @@ def run_light_batch(
                 pvals=wl_spec.pvals(spaces[t]),
                 capacity_scale=wl_spec.capacity_scale(spaces[t]),
             )
-            pvals[t] = wl.pvals
+            choice_samplers[t] = wl.sampler
             if wl.capacity_scale is not None:
                 part = wl.capacities(config.capacity)
                 caps[bin_offsets[t] : bin_offsets[t + 1]] = part
@@ -323,7 +323,7 @@ def run_light_batch(
         priority_parts = []
         for t, size in zip(live_list, requests.tolist()):
             choice_parts.append(
-                sample_choices(size, spaces[t], rngs[t], pvals[t])
+                sample_choices(size, spaces[t], rngs[t], choice_samplers[t])
                 + bin_offsets[t]
             )
             priority_parts.append(rngs[t].random(size))

@@ -51,7 +51,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.fastpath.sampling import validate_pvals
+from repro.fastpath.sampling import ChoiceSampler, validate_pvals
 
 __all__ = [
     "BoundWorkload",
@@ -463,6 +463,10 @@ class BoundWorkload:
         The source :class:`Workload` (None for the uniform binding).
     pvals:
         Per-bin choice probabilities, or None for uniform contacts.
+    sampler:
+        ``pvals`` validated once and prepared for the per-round contact
+        draws (:class:`~repro.fastpath.sampling.ChoiceSampler`), built
+        with the binding; None for uniform contacts.
     capacity_scale:
         Mean-1 per-bin capacity factors, or None for homogeneous.
     weights:
@@ -476,7 +480,14 @@ class BoundWorkload:
     capacity_scale: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     weight_sum_sampler: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    sampler: Optional[ChoiceSampler] = field(
+        default=None, init=False, repr=False
+    )
     _capacity_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.pvals is not None:
+            self.sampler = ChoiceSampler(self.pvals, self.pvals.size)
 
     @property
     def active(self) -> bool:

@@ -690,9 +690,19 @@ class TestSelectionMachinery:
              "--backend", "fused"]
         ) == 0
         fus_out = capsys.readouterr().out
+
+        def results(out):
+            # The wall-time line is a measurement, not a result.
+            return [
+                line for line in out.splitlines()
+                if not line.startswith("wall time")
+            ]
+
         # Identical describe() blocks: the backend changes nothing
         # observable but wall clock.
-        assert ref_out == fus_out
+        assert "wall time" in ref_out and "wall time" in fus_out
+        assert results(ref_out) == results(fus_out)
+        assert len(results(ref_out)) == len(ref_out.splitlines()) - 1
 
     def test_cli_rejects_unknown_backend(self, capsys):
         from repro.__main__ import main

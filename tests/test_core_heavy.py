@@ -214,6 +214,25 @@ class _OnePerRound(FixedSchedule):
         return round_index + 1
 
 
+def test_long_run_asks_each_raw_threshold_about_once():
+    """``threshold(i)`` keeps a running prefix maximum, so a run of R
+    rounds costs O(R) ``raw_threshold`` calls, not O(R^2)."""
+
+    class Counting(_OnePerRound):
+        calls = 0
+
+        def raw_threshold(self, round_index: int) -> float:
+            Counting.calls += 1
+            return super().raw_threshold(round_index)
+
+    m, n = 4000, 4
+    out = run_threshold_protocol(
+        m, n, Counting(m, n), rng_factory=RngFactory(3), max_rounds=401
+    )
+    assert out.rounds == 401 and out.remaining > 0
+    assert Counting.calls <= 2 * out.rounds
+
+
 class TestPerBallTallies:
     def test_more_than_255_rounds(self):
         """Past 255 recorded rounds the per-ball commit rounds widen;

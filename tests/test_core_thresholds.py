@@ -1,6 +1,7 @@
 """Tests for the threshold schedules."""
 
 import math
+import random
 
 import pytest
 
@@ -126,3 +127,52 @@ class TestExponentSchedule:
         assert s.estimate(1) == pytest.approx(
             math.sqrt(10**6) * math.sqrt(100), rel=1e-9
         )
+
+
+class _Sawtooth(FixedSchedule):
+    """Non-monotone raw thresholds, negative at first: ``threshold``
+    must carry the running maximum, clamped at zero."""
+
+    def raw_threshold(self, round_index: int) -> float:
+        return (round_index % 7) * 1.5 - 4.0 + 0.01 * round_index
+
+
+class TestPrefixMaximum:
+    """``threshold(i)`` is ``max(0, floor(max(raw[0..i])))`` whatever
+    order the rounds are asked in, from a prefix maximum kept on the
+    instance."""
+
+    LIMIT = 2000
+
+    @staticmethod
+    def _schedules():
+        m, n = 2**20, 2**6
+        return [
+            PaperSchedule(m, n),
+            FixedSchedule(m, n, slack=3),
+            ExponentSchedule(m, n, alpha=0.75),
+            _Sawtooth(m, n),
+        ]
+
+    def _naive(self, schedule):
+        out, best = [], 0.0
+        for i in range(self.LIMIT + 1):
+            best = max(best, schedule.raw_threshold(i))
+            out.append(max(0, math.floor(best)))
+        return out
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "random"])
+    def test_matches_the_naive_prefix_maximum(self, order):
+        indices = list(range(self.LIMIT + 1))
+        if order == "descending":
+            indices.reverse()
+        elif order == "random":
+            random.Random(5).shuffle(indices)
+        for schedule in self._schedules():
+            want = self._naive(schedule)
+            for i in indices:
+                assert schedule.threshold(i) == want[i], (schedule, i)
+            # Monotone and non-negative, as the class promises.
+            got = [schedule.threshold(i) for i in range(self.LIMIT + 1)]
+            assert got[0] >= 0
+            assert all(a <= b for a, b in zip(got, got[1:]))

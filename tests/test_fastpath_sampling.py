@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from repro.fastpath.sampling import (
+    _WALK_MIN_KEYS,
+    ChoiceSampler,
+    fill_choices,
     grouped_accept,
     multinomial_occupancy,
+    multinomial_occupancy_batched,
+    prepare_choices,
     sample_choices,
     sample_uniform_choices,
     validate_pvals,
@@ -248,3 +255,213 @@ class TestGroupedAccept:
         assert mask[:2].sum() == 1
         assert mask[2:4].sum() == 2
         assert not mask[4]
+
+
+# ---------------------------------------------------------------------------
+# The prepared sampler
+# ---------------------------------------------------------------------------
+
+FAMILIES = ("random", "zipf", "point", "decades", "zero_mass", "quarantined")
+
+
+def _distribution(family: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A probability vector of one of the families the sampler must
+    reproduce exactly: dense, power-law, a point mass, sixteen decades
+    of dynamic range, and vectors with 30% zero-mass bins."""
+    if family == "random":
+        p = rng.random(n)
+    elif family == "zipf":
+        p = 1.0 / np.arange(1, n + 1) ** rng.uniform(0.5, 3.0)
+    elif family == "point":
+        p = np.zeros(n)
+        p[rng.integers(n)] = 1.0
+    elif family == "decades":
+        p = 10.0 ** rng.uniform(-16.0, 0.0, size=n)
+    else:
+        p = rng.random(n) if family == "zero_mass" else np.ones(n)
+        p[rng.random(n) < 0.3] = 0.0
+        if not p.any():
+            p[rng.integers(n)] = 1.0
+    return p / p.sum()
+
+
+def _historical(pvals, n: int, u: np.ndarray) -> np.ndarray:
+    """The per-round inverse CDF the prepared sampler replaced."""
+    cdf = np.cumsum(validate_pvals(pvals, n))
+    cdf[-1] = 1.0
+    return np.minimum(np.searchsorted(cdf, u, side="right"), n - 1)
+
+
+def _edge_keys(cdf: np.ndarray, slots: int) -> np.ndarray:
+    """Every CDF value and both its float neighbours, every guide slot
+    edge ``j / G``, 0, and the largest double below 1 — the keys in
+    ``[0, 1)`` where an off-by-one walk would show."""
+    keys = np.concatenate([
+        cdf,
+        np.nextafter(cdf, 0.0),
+        np.nextafter(cdf, 2.0),
+        np.arange(slots) / slots,
+        [0.0, np.nextafter(1.0, 0.0)],
+    ])
+    return keys[(keys >= 0.0) & (keys < 1.0)]
+
+
+class TestChoiceSampler:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 7, 64, 256, 1000, 1024, 4097])
+        | st.integers(1, 3000),
+        family=st.sampled_from(FAMILIES),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from(
+            [0, 1, 100, _WALK_MIN_KEYS - 1, _WALK_MIN_KEYS, 4096]
+        ),
+    )
+    def test_lookup_is_searchsorted_bit_for_bit(self, n, family, seed, k):
+        rng = np.random.default_rng(seed)
+        sampler = ChoiceSampler(_distribution(family, n, rng), n)
+        cdf = sampler.cdf
+        slots = 1 << (4 * n - 1).bit_length()
+        edges = _edge_keys(cdf, slots)
+        # Random keys at k (either side of the cut-over), the edge keys
+        # below the cut-over, and the edge keys tiled past it (walked).
+        for keys in (
+            rng.random(k),
+            edges[: _WALK_MIN_KEYS - 1],
+            np.resize(edges, max(edges.size, _WALK_MIN_KEYS)),
+        ):
+            want = np.minimum(np.searchsorted(cdf, keys, side="right"), n - 1)
+            got = sampler.lookup(keys)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [1, 3, 256, 4097])
+    def test_guide_is_searchsorted_at_every_slot_edge(self, family, n):
+        sampler = ChoiceSampler(
+            _distribution(family, n, np.random.default_rng(n)), n
+        )
+        sampler.lookup(np.random.default_rng(0).random(_WALK_MIN_KEYS))
+        guide = sampler._guide
+        slots = guide.size
+        assert slots >= 4 * n and slots & (slots - 1) == 0
+        assert guide.dtype == np.int32
+        want = np.searchsorted(sampler.cdf, np.arange(slots) / slots, "right")
+        assert np.array_equal(guide, want)
+
+    def test_guide_is_built_lazily_by_the_first_walk(self):
+        sampler = ChoiceSampler(np.full(8, 0.125), 8)
+        sampler.lookup(np.random.default_rng(0).random(_WALK_MIN_KEYS - 1))
+        assert sampler._guide is None
+        sampler.lookup(np.random.default_rng(0).random(_WALK_MIN_KEYS))
+        assert sampler._guide is not None
+
+    @pytest.mark.parametrize("k", [0, 7, _WALK_MIN_KEYS, 20_000])
+    def test_draw_matches_the_historical_inverse_cdf(self, k):
+        p = _distribution("zipf", 300, np.random.default_rng(1))
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        got = ChoiceSampler(p, 300).draw(k, a)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _historical(p, 300, b.random(k)))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_cumsum_overshoot_before_the_last_bin(self):
+        """A cumsum can pass 1.0 before its last entry; ``cdf[-1]`` is
+        then reset below its neighbour, and every key must still land on
+        the first bin whose CDF exceeds it."""
+        p = np.array([
+            0.08518338021454445, 0.10645727032558917, 0.2390068211909096,
+            0.13909794003535464, 0.06404392094806954, 0.05979133777598629,
+            0.21972328785524944, 0.05588081259375994, 0.030815229060536818,
+            0.0,
+        ])
+        sampler = ChoiceSampler(p, 10)
+        assert sampler.cdf[-2] > sampler.cdf[-1] == 1.0
+        keys = np.concatenate([
+            np.resize(_edge_keys(sampler.cdf, 64), 4 * _WALK_MIN_KEYS),
+            np.random.default_rng(0).random(10_000),
+        ])
+        want = np.minimum(
+            np.searchsorted(sampler.cdf, keys, side="right"), 9
+        )
+        assert np.array_equal(sampler.lookup(keys), want)
+
+    def test_owns_a_read_only_copy(self):
+        src = _distribution("random", 64, np.random.default_rng(2))
+        sampler = ChoiceSampler(src, 64)
+        before = sampler.draw(5000, np.random.default_rng(3))
+        src[:] = src[::-1].copy()
+        after = sampler.draw(5000, np.random.default_rng(3))
+        assert np.array_equal(before, after)
+        with pytest.raises(ValueError, match="read-only"):
+            sampler.p[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sampler.cdf[0] = 1.0
+
+    def test_validates_like_validate_pvals(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            ChoiceSampler(np.array([0.9, 0.3]), 2)
+        with pytest.raises(ValueError, match="length"):
+            ChoiceSampler(np.full(4, 0.25), 5)
+        p = np.full(3, 1.0 / 3.0)
+        assert np.array_equal(ChoiceSampler(p, 3).p, validate_pvals(p, 3))
+
+    def test_prepare_choices(self):
+        assert prepare_choices(None, 5) is None
+        sampler = ChoiceSampler(np.full(5, 0.2), 5)
+        assert prepare_choices(sampler, 5) is sampler
+        with pytest.raises(ValueError, match="5 bins, expected 6"):
+            prepare_choices(sampler, 6)
+        fresh = prepare_choices(np.full(5, 0.2), 5)
+        assert isinstance(fresh, ChoiceSampler) and fresh is not sampler
+
+
+class TestPreparedEqualsRaw:
+    """A raw vector and its prepared sampler give identical draws and
+    leave the generator in the identical state, in every primitive."""
+
+    N = 300
+    P = _distribution("zipf", N, np.random.default_rng(11))
+
+    def _both(self, call):
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        raw = call(a, self.P)
+        prepared = call(b, ChoiceSampler(self.P, self.N))
+        assert np.array_equal(raw, prepared)
+        assert a.bit_generator.state == b.bit_generator.state
+        return raw
+
+    @pytest.mark.parametrize("k", [0, 100, 5000])
+    def test_sample_choices(self, k):
+        self._both(lambda r, p: sample_choices(k, self.N, r, p))
+
+    @pytest.mark.parametrize("chunk", [None, 700, 100])
+    def test_fill_choices_chunked_narrow(self, chunk):
+        out = self._both(
+            lambda r, p: fill_choices(
+                np.empty(5000, dtype=np.int16), self.N, r, p,
+                chunk_size=chunk,
+            )
+        )
+        whole = sample_choices(5000, self.N, np.random.default_rng(9), self.P)
+        assert np.array_equal(out, whole)
+
+    def test_multinomial_occupancy(self):
+        self._both(lambda r, p: multinomial_occupancy(10**6, self.N, r, p))
+
+    def test_multinomial_occupancy_batched(self):
+        ks = np.array([1000, 0, 50_000, 7])
+        active = np.array([True, True, True, False])
+        pairs = [
+            (np.random.default_rng(t), np.random.default_rng(t))
+            for t in range(4)
+        ]
+        raw = multinomial_occupancy_batched(
+            ks, self.N, [a for a, _ in pairs], self.P, active=active
+        )
+        prepared = multinomial_occupancy_batched(
+            ks, self.N, [b for _, b in pairs],
+            ChoiceSampler(self.P, self.N), active=active,
+        )
+        assert np.array_equal(raw, prepared)
+        for a, b in pairs:
+            assert a.bit_generator.state == b.bit_generator.state

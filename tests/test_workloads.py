@@ -1,5 +1,8 @@
 """Tests for the workload subsystem: spec, binding, and end-to-end runs."""
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -176,6 +179,33 @@ class TestBinding:
         bound = bind_workload("zipf:1.0+propcap", 100, 8, RngFactory(0))
         assert bound.capacities(5) is bound.capacities(5)
         assert bound.capacities(5.0).sum() > 0
+
+    def test_binding_prepares_the_choice_sampler(self):
+        from repro.fastpath.sampling import ChoiceSampler, validate_pvals
+
+        bound = bind_workload("zipf:1.1", 100, 8, RngFactory(0))
+        assert isinstance(bound.sampler, ChoiceSampler)
+        assert np.array_equal(bound.sampler.p, validate_pvals(bound.pvals, 8))
+        assert bind_workload(None, 100, 8, RngFactory(0)).sampler is None
+        # Weights-only workloads keep uniform contacts: nothing prepared.
+        weights_only = bind_workload("geomw:0.5", 100, 8, RngFactory(0))
+        assert weights_only.sampler is None
+
+    def test_mutating_the_callers_vector_changes_no_draw(self):
+        from repro.fastpath.sampling import sample_choices
+
+        arr = np.array([0.5, 0.25, 0.125, 0.125])
+        bound = bind_workload(Workload.explicit(arr), 100, 4, RngFactory(0))
+
+        def draw():
+            return sample_choices(
+                4000, 4, np.random.default_rng(1), bound.sampler
+            )
+
+        before = draw()
+        arr[:] = arr[::-1].copy()
+        bound.pvals[:] = 0.25
+        assert np.array_equal(before, draw())
 
 
 class TestRoundStateWorkload:
@@ -445,3 +475,111 @@ class TestWorkloadBench:
         }
         artifact("adversarial")
         artifact("telemetry")
+
+
+def _crc(values) -> int:
+    return zlib.crc32(np.ascontiguousarray(values, dtype="<i8").tobytes())
+
+
+def _dynamic_row(res):
+    return [_crc(res.loads_history), int(res.total_messages),
+            _crc(res.rounds), int(res.lost_acks)]
+
+
+def _allocation_row(res):
+    return [_crc(res.loads), int(res.total_messages), int(res.rounds)]
+
+
+def _faulted_service_row():
+    from repro.service import AllocatorService, SimulatedClock
+
+    svc = AllocatorService(
+        "heavy", 64, seed=31, max_batch=2000, auto_flush=False,
+        clock=SimulatedClock(), fault_model=repro.FaultModel(0.1, 0.3, 0.05),
+    )
+    for _ in range(6):
+        svc.place(3000)
+        svc.release(600)
+        svc.flush(all_pending=True)
+    records = [
+        {k: v for k, v in r.to_dict().items() if k != "seconds"}
+        for r in svc.records
+    ]
+    blob = json.dumps(records, sort_keys=True, default=int).encode()
+    return [zlib.crc32(blob), _crc(svc.residents.loads)]
+
+
+_ADVERSARIAL = dict(
+    churn=0.1, seed=0, departures="greedy_adversary",
+    fault_model=repro.FaultModel(0.05, 0.25, 0.02),
+)
+_ZIPF = dict(seed=3, workload="zipf:1.1")
+
+#: Whole runs whose contacts go through the prepared sampler, pinned as
+#: crc32 literals recorded before it replaced the per-round validation,
+#: cumsum and binary search.  Each row is checked on both backends.
+PREPARED_SAMPLER_PINS = {
+    "churn_adversarial_perball": (
+        lambda: _dynamic_row(repro.run_dynamic(
+            "heavy", 10**5, 256, epochs=8, mode="perball", **_ADVERSARIAL)),
+        [3516241582, 1039089, 1997907410, 3653],
+    ),
+    "churn_adversarial_aggregate": (
+        lambda: _dynamic_row(repro.run_dynamic(
+            "heavy", 10**5, 256, epochs=4, mode="aggregate", **_ADVERSARIAL)),
+        [2024304460, 728559, 3673516334, 2858],
+    ),
+    "heavy": (
+        lambda: _allocation_row(repro.allocate(
+            "heavy", 50_000, 256, mode="perball", **_ZIPF)),
+        [1265867224, 265281, 11],
+    ),
+    "heavy_chunked": (
+        lambda: _allocation_row(repro.allocate(
+            "heavy", 50_000, 256, mode="perball", chunk_size=4096, **_ZIPF)),
+        [1265867224, 265281, 11],
+    ),
+    "single": (
+        lambda: _allocation_row(repro.allocate(
+            "single", 50_000, 256, mode="perball", **_ZIPF)),
+        [1263674159, 50000, 1],
+    ),
+    "stemann": (
+        lambda: _allocation_row(repro.allocate(
+            "stemann", 50_000, 256, mode="perball", **_ZIPF)),
+        [3823844949, 196004, 15],
+    ),
+    "multicontact": (
+        lambda: _allocation_row(repro.allocate(
+            "multicontact", 50_000, 256, **_ZIPF)),
+        [1155177223, 368437, 11],
+    ),
+    "adler": (
+        lambda: _allocation_row(
+            repro.allocate("dchoice", 5_000, 256, **_ZIPF)),
+        [2576345753, 441162, 341],
+    ),
+    "light": (
+        lambda: (lambda o: [_crc(o.loads), _crc(o.assignment), int(o.rounds)])(
+            repro.run_light(3_000, 2_048, **_ZIPF)),
+        [2464043484, 3719074829, 6],
+    ),
+    "replicate": (
+        lambda: (lambda r: [_crc(r.loads), _crc(r.total_messages),
+                            _crc(r.rounds)])(
+            repro.replicate("heavy", 50_000, 256, trials=8, **_ZIPF)),
+        [3144858818, 743881618, 3589319865],
+    ),
+    "faulted_service": (_faulted_service_row, [1362998315, 2901529897]),
+}
+
+
+class TestPreparedSamplerPins:
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    @pytest.mark.parametrize("case", sorted(PREPARED_SAMPLER_PINS))
+    def test_pinned(self, case, backend):
+        from repro.fastpath.backend import use_backend
+
+        run, pin = PREPARED_SAMPLER_PINS[case]
+        with use_backend(backend):
+            assert run() == pin
