@@ -43,9 +43,10 @@ from typing import Optional
 import numpy as np
 
 from repro.api.spec import register_allocator
+from repro.core.heavy import _fold_light, _light_phase
 from repro.core.thresholds import PaperSchedule, ThresholdSchedule
 from repro.fastpath.roundstate import AcceptDecision, RoundState
-from repro.light.virtual import run_light_on_virtual_bins
+from repro.light.lw16 import LightConfig
 from repro.result import AllocationResult
 from repro.utils.seeding import RngFactory
 from repro.utils.validation import check_probability, ensure_m_n
@@ -227,7 +228,9 @@ def run_heavy_faulty(
         1 (faults slow progress; the schedule is extended by holding the
         final threshold).
     handoff:
-        Run the (reliable) ``A_light`` phase on the stragglers.
+        Run the (reliable) ``A_light`` phase on the stragglers, as
+        :func:`~repro.core.heavy.run_heavy` does (``extra`` then gains
+        ``light_used_fallback`` and ``virtual_factor``).
 
     workload:
         Optional :class:`repro.workloads.Workload` (or spec string):
@@ -307,41 +310,29 @@ def run_heavy_faulty(
             threshold=threshold,
         )
 
-    phase1_rounds = state.rounds
-    remaining = state.active_count
-    loads = state.loads
-    metrics = state.metrics
+    rounds = state.rounds
     total_messages = state.total_messages
+    unallocated = state.active_count
     extra = {
         "crash_prob": crash_prob,
         "loss_prob": loss_prob,
         "crashed": crashed,
         "ghost_slots": int(ghosts.sum()),
-        "phase1_rounds": phase1_rounds,
-        "phase1_remaining": remaining,
+        "phase1_rounds": rounds,
+        "phase1_remaining": unallocated,
         "phase2_rounds": 0,
     }
-    rounds = phase1_rounds
-    unallocated = remaining
-    weighted_loads = state.weighted_loads
 
-    if handoff and remaining > 0:
-        real_loads, light, vmap = run_light_on_virtual_bins(
-            remaining, n, seed=factory.stream("light")
+    if handoff and unallocated > 0:
+        (phase2,) = _light_phase(n, [unallocated], [factory], LightConfig())
+        rounds, total_messages = _fold_light(
+            phase2, state.loads, state.weighted_loads, bound=wl,
+            straggler_ids=state.active, metrics=state.metrics,
+            rounds=rounds, messages=total_messages, extra=extra,
         )
-        loads += real_loads
-        if weighted_loads is not None:
-            np.add.at(
-                weighted_loads,
-                vmap.to_real(light.assignment),
-                wl.weights[state.active],
-            )
-        rounds += light.rounds
-        total_messages += light.total_messages
-        extra["phase2_rounds"] = light.rounds
         unallocated = 0
 
-    workload_record = wl.extra_record(weighted_loads)
+    workload_record = wl.extra_record(state.weighted_loads)
     if workload_record is not None:
         extra["workload"] = workload_record
 
@@ -353,9 +344,9 @@ def run_heavy_faulty(
         algorithm=f"heavy-faulty[crash={crash_prob},loss={loss_prob}]",
         m=m,
         n=n,
-        loads=loads,
+        loads=state.loads,
         rounds=rounds,
-        metrics=metrics,
+        metrics=state.metrics,
         total_messages=total_messages,
         complete=not_placed == 0,
         unallocated=not_placed,

@@ -30,8 +30,8 @@ experiment F2) and the ablation schedules (experiment A1).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from typing import Literal, Optional
 
 import numpy as np
@@ -41,7 +41,11 @@ from repro.api.spec import (
     register_dynamic,
     register_replicator,
 )
-from repro.core.thresholds import PaperSchedule, ThresholdSchedule
+from repro.core.thresholds import (
+    FixedSchedule,
+    PaperSchedule,
+    ThresholdSchedule,
+)
 from repro.dynamic.placement import DynamicPlacement, check_mode
 from repro.fastpath.roundstate import RoundState
 from repro.light.lw16 import LightConfig
@@ -50,7 +54,7 @@ from repro.light.virtual import (
     run_light_on_virtual_bins_batch,
 )
 from repro.result import AllocationResult
-from repro.simulation.metrics import MessageCounter, RoundMetrics, RunMetrics
+from repro.simulation.metrics import MessageCounter, RunMetrics
 from repro.telemetry import current_telemetry
 from repro.utils.seeding import RngFactory
 from repro.utils.validation import ensure_m_n
@@ -98,7 +102,8 @@ class HeavyConfig:
 
 @dataclass
 class ThresholdPhaseOutcome:
-    """Result of running just the threshold rounds (phase 1)."""
+    """Result of one :func:`run_threshold_protocol` run: ``A_heavy``'s
+    phase 1, or the settle rounds of a dynamic placement."""
 
     loads: np.ndarray
     remaining: int
@@ -112,6 +117,13 @@ class ThresholdPhaseOutcome:
     weighted_loads: Optional[np.ndarray] = None
 
 
+#: The draw streams of each kind of threshold run: ``(choices, accept)``.
+_PHASE_STREAMS = {
+    "threshold": (("threshold", "choices"), ("threshold", "accept")),
+    "settle": (("dynamic", "settle"), ("dynamic", "settle", "accept")),
+}
+
+
 def run_threshold_protocol(
     m: int,
     n: int,
@@ -121,11 +133,11 @@ def run_threshold_protocol(
     mode: Mode = "perball",
     max_rounds: Optional[int] = None,
     track_per_ball: bool = True,
-    stop_when_empty: bool = True,
     workload=None,
     initial_loads: Optional[np.ndarray] = None,
-    skip_saturated_rounds: bool = False,
     start_round: int = 0,
+    stall_rounds: Optional[int] = None,
+    phase: Literal["threshold", "settle"] = "threshold",
     chunk_size: Optional[int] = None,
 ) -> ThresholdPhaseOutcome:
     """Run the symmetric threshold protocol under any oblivious schedule.
@@ -135,8 +147,9 @@ def run_threshold_protocol(
     ``schedule.threshold(i) - load`` (per-bin thresholds scaled by the
     workload's capacity profile).  The run ends when the schedule's
     :meth:`~repro.core.thresholds.ThresholdSchedule.phase1_rounds` are
-    exhausted, all balls are allocated (if ``stop_when_empty``), or
-    ``max_rounds`` is hit — whichever comes first.
+    exhausted, all balls are allocated, ``max_rounds`` scheduled rounds
+    have passed, or ``stall_rounds`` consecutive rounds placed nothing
+    — whichever comes first.
 
     Message accounting counts one request per active ball per round plus
     one accept per allocated ball; rejections are silent, matching the
@@ -153,17 +166,26 @@ def run_threshold_protocol(
     ``initial_loads`` starts the bins at a residual occupancy, with
     only the ``m`` new balls active — the heavy-regime requirement then
     applies to the *population*, not the cohort, so ``m < n`` cohorts
-    are legal.  ``skip_saturated_rounds`` skips any scheduled round
-    whose total residual capacity is zero *without sampling anything*:
-    no request messages, no RNG draws, no metrics row — such a round
-    would reject every request, and an incremental epoch whose early
-    thresholds sit below the residents' loads would otherwise burn
-    rounds and messages on them.  A schedule that stays saturated
-    throughout therefore terminates with zero draws (the regression
-    the saturation tests pin).  ``start_round`` enters the schedule at
-    a later index (the incremental fast-forward: early rounds exist to
-    whittle a huge unallocated estimate that a small cohort never
-    had).  All three default to the historical behavior, bitwise.
+    are legal.  Such a run also skips any scheduled round whose total
+    residual capacity is zero *without sampling anything*: no request
+    messages, no RNG draws, no metrics row — such a round would reject
+    every request, and an incremental epoch whose early thresholds sit
+    below the residents' loads would otherwise burn rounds and messages
+    on them.  A schedule that stays saturated throughout therefore
+    terminates with zero draws (the regression the saturation tests
+    pin).  ``start_round`` enters the schedule at a later index (the
+    incremental fast-forward: early rounds exist to whittle a huge
+    unallocated estimate that a small cohort never had).
+    ``stall_rounds`` stops the run after that many consecutive rounds
+    left the active count unchanged, skipped rounds included (the
+    settle drain of :func:`dynamic_heavy`).
+
+    ``phase`` names the run: ``"threshold"`` (``A_heavy``'s phase 1)
+    draws from the ``("threshold", "choices"/"accept")`` streams,
+    ``"settle"`` (the settle rounds of :func:`dynamic_heavy`) from
+    ``("dynamic", "settle")`` and ``("dynamic", "settle", "accept")``.
+    Under telemetry the run is one ``phase`` span of that label, with a
+    ``round`` child span per executed round.
 
     Memory path: ``chunk_size`` streams per-ball choice draws through
     bounded tiles and stores indices and loads as int32 where the
@@ -175,10 +197,15 @@ def run_threshold_protocol(
     m, n = ensure_m_n(m, n, require_heavy=initial_loads is None)
     if mode not in ("perball", "aggregate"):
         raise ValueError(f"mode must be 'perball' or 'aggregate', got {mode!r}")
+    if phase not in _PHASE_STREAMS:
+        raise ValueError(
+            f"phase must be one of {sorted(_PHASE_STREAMS)}, got {phase!r}"
+        )
     factory = rng_factory or RngFactory()
     bound = bind_workload(workload, m, n, factory, granularity=mode)
-    rng = factory.stream("threshold", "choices")
-    accept_rng = factory.stream("threshold", "accept")
+    choice_key, accept_key = _PHASE_STREAMS[phase]
+    rng = factory.stream(*choice_key)
+    accept_rng = factory.stream(*accept_key)
 
     planned = schedule.phase1_rounds()
     cap_rounds = max_rounds if max_rounds is not None else 100_000
@@ -202,42 +229,49 @@ def run_threshold_protocol(
     # skipped or the schedule is entered late.
     if start_round < 0:
         raise ValueError(f"start_round must be >= 0, got {start_round}")
-    # Telemetry: the threshold phase is one span, each executed round a
-    # child span feeding the round-duration histogram.  Off is one
-    # ``is not None`` branch per round; nothing here touches the RNG.
+    if stall_rounds is not None and stall_rounds < 1:
+        raise ValueError(f"stall_rounds must be >= 1, got {stall_rounds}")
+    skip_saturated = initial_loads is not None
+    stalled, last_active = 0, state.active_count
+    # Telemetry: the run is one span, each executed round a child span
+    # feeding the round-duration histogram.  Off is one ``is not None``
+    # branch per round; nothing here touches the RNG.
     tele = current_telemetry()
     phase_start = tele.begin() if tele is not None else 0.0
     round_index = start_round
-    while round_index < cap_rounds:
-        if stop_when_empty and state.active_count == 0:
-            break
+    while round_index < cap_rounds and state.active_count > 0:
         threshold = schedule.threshold(round_index)
         capacity = np.maximum(bound.capacities(threshold) - state.loads, 0)
-        if skip_saturated_rounds and not np.any(capacity > 0):
-            round_index += 1
-            continue
-        thresholds.append(threshold)
-        if tele is not None:
-            round_start = tele.begin()
-        batch = state.sample_contacts(rng, pvals=bound.sampler)
-        decision = state.group_and_accept(batch, capacity, accept_rng)
-        state.commit_and_revoke(batch, decision, threshold=threshold)
-        if tele is not None:
-            seconds = tele.complete(
-                "round",
-                round_start,
-                cat="kernel",
-                round=round_index,
-                threshold=threshold,
-            )
-            tele.observe("kernel.round.seconds", seconds)
+        if not skip_saturated or np.any(capacity > 0):
+            thresholds.append(threshold)
+            if tele is not None:
+                round_start = tele.begin()
+            batch = state.sample_contacts(rng, pvals=bound.sampler)
+            decision = state.group_and_accept(batch, capacity, accept_rng)
+            state.commit_and_revoke(batch, decision, threshold=threshold)
+            if tele is not None:
+                seconds = tele.complete(
+                    "round",
+                    round_start,
+                    cat="kernel",
+                    round=round_index,
+                    threshold=threshold,
+                )
+                tele.observe("kernel.round.seconds", seconds)
+        if stall_rounds is not None:
+            if state.active_count < last_active:
+                stalled, last_active = 0, state.active_count
+            else:
+                stalled += 1
+                if stalled >= stall_rounds:
+                    break
         round_index += 1
     if tele is not None:
         tele.complete(
             "phase",
             phase_start,
             cat="kernel",
-            phase="threshold",
+            phase=phase,
             rounds=state.rounds,
             remaining=state.active_count,
         )
@@ -429,6 +463,54 @@ def _light_phase(
     return runs
 
 
+def _fold_light(
+    phase2: tuple,
+    loads: np.ndarray,
+    weighted_loads: Optional[np.ndarray],
+    *,
+    bound,
+    straggler_ids: Optional[np.ndarray],
+    metrics: Optional[RunMetrics],
+    rounds: int,
+    messages: int,
+    extra: dict,
+) -> tuple[int, int]:
+    """Fold one run's phase 2 into its totals, in place.
+
+    ``phase2`` is the run's ``(real_loads, light_outcome, vmap)`` from
+    :func:`_light_phase`.  ``loads`` gains the stragglers' real bins.
+    ``weighted_loads`` (if tracked) gains their weights: a per-ball run
+    keeps each straggler's own weight (``bound.weights[straggler_ids]``,
+    folded through the virtual map); an aggregate run draws fresh
+    per-bin weight sums (i.i.d. weights are exchangeable, so this is
+    identical in law).  ``metrics`` (if kept) gains the ``A_light`` rows
+    numbered after the ``rounds`` already run, and ``extra`` gains
+    ``phase2_rounds``, ``light_used_fallback`` and ``virtual_factor``.
+    Returns the run's new ``(rounds, messages)``.
+    """
+    real_loads, light, vmap = phase2
+    loads += real_loads
+    if weighted_loads is not None:
+        if bound.weights is not None:
+            np.add.at(
+                weighted_loads,
+                vmap.to_real(light.assignment),
+                bound.weights[straggler_ids],
+            )
+        else:
+            weighted_loads += bound.weight_sum_sampler(real_loads)
+    if metrics is not None:
+        max_load = int(loads.max(initial=0))
+        for row in light.metrics.rounds:
+            metrics.add_round(
+                replace(row, round_no=rounds + row.round_no, max_load=max_load)
+            )
+    extra["phase2_rounds"] = light.rounds
+    extra["light_used_fallback"] = light.used_fallback
+    extra["virtual_factor"] = vmap.factor
+    return rounds + light.rounds, messages + light.total_messages
+
+
 def _finish_heavy_run(
     m: int,
     n: int,
@@ -468,46 +550,16 @@ def _finish_heavy_run(
 
     unallocated = phase1.remaining
     if phase2 is not None:
-        real_loads, light, vmap = phase2
-        loads += real_loads
-        if weighted_loads is not None:
-            if bound.weights is not None:
-                # Per-ball mode: the stragglers keep the weights they
-                # were born with; fold them through the light phase's
-                # virtual-bin assignment.
-                np.add.at(
-                    weighted_loads,
-                    vmap.to_real(light.assignment),
-                    bound.weights[phase1.remaining_ids],
-                )
-            else:
-                # Aggregate mode: straggler weights are fresh i.i.d.
-                # draws (exchangeability makes this identical in law).
-                weighted_loads += bound.weight_sum_sampler(real_loads)
-        rounds += light.rounds
-        total_messages += light.total_messages
-        extra["phase2_rounds"] = light.rounds
-        extra["light_used_fallback"] = light.used_fallback
-        extra["virtual_factor"] = vmap.factor
-        # Merge per-round progress into the global metrics with offset
-        # round numbers.
-        for r in light.metrics.rounds:
-            metrics.add_round(
-                RoundMetrics(
-                    round_no=phase1.rounds + r.round_no,
-                    unallocated_start=r.unallocated_start,
-                    requests_sent=r.requests_sent,
-                    accepts_sent=r.accepts_sent,
-                    rejects_sent=r.rejects_sent,
-                    commits=r.commits,
-                    unallocated_end=r.unallocated_end,
-                    max_load=int(loads.max(initial=0)),
-                )
-            )
+        rounds, total_messages = _fold_light(
+            phase2, loads, weighted_loads, bound=bound,
+            straggler_ids=phase1.remaining_ids, metrics=metrics,
+            rounds=rounds, messages=total_messages, extra=extra,
+        )
         if counter is not None and phase1.remaining_ids is not None:
             # Phase-2 messages by global ball id; bin receives are folded
             # through the virtual map (uniform over virtual bins means
             # uniform over real bins).
+            _, light, vmap = phase2
             counter.add_ball_sent(  # sends+receives folded
                 phase1.remaining_ids, light.ball_messages
             )
@@ -520,7 +572,7 @@ def _finish_heavy_run(
     if workload_record is not None:
         extra["workload"] = workload_record
 
-    result = AllocationResult(
+    return AllocationResult(
         algorithm=algorithm,
         m=m,
         n=n,
@@ -534,7 +586,6 @@ def _finish_heavy_run(
         seed_entropy=factory.root_entropy,
         extra=extra,
     )
-    return result
 
 
 def run_threshold_protocol_batched(
@@ -716,18 +767,25 @@ def dynamic_heavy(
     plus cohort) and the cohort runs the threshold rounds against the
     residents' loads (``RoundState(initial_loads=...)``).  Thresholds
     that sit below the residents' current loads yield zero capacity
-    and are skipped without sampling (``skip_saturated_rounds``), so
-    the cost of an epoch — messages and draws — scales with the
-    cohort, not the population.
+    and are skipped without sampling (see
+    :func:`run_threshold_protocol`), so the cost of an epoch —
+    messages and draws — scales with the cohort, not the population.
 
     After the schedule, up to ``settle_rounds`` extra threshold rounds
     run at the population average ``ceil(total/n)`` — the paper's own
     load cap — before stragglers ride the usual phase-2 ``A_light``
-    handoff.  A settle round costs one message per remaining ball
-    against nearly-full-cohort capacity, so it drains almost everyone
-    for a fraction of the light protocol's per-ball cost; the load
-    guarantee is untouched (the cap never exceeds the average, and
-    ``A_light`` still bounds whatever remains by ``+2g``).
+    handoff.  The settle is the same round loop on the constant
+    schedule ``FixedSchedule(total, n, slack=0)``, run with
+    ``phase="settle"``: it draws from its own ``("dynamic",
+    "settle")`` streams, carries the stragglers' weights, and is
+    traced as one ``settle`` phase span.  A settle round costs one
+    message per remaining ball against nearly-full-cohort capacity, so
+    it drains almost everyone for a fraction of the light protocol's
+    per-ball cost; the load guarantee is untouched (the cap never
+    exceeds the average, and ``A_light`` still bounds whatever remains
+    by ``+2g``).  Under a constant threshold, a round with no capacity
+    left stays so for the rest of the settle, so no round runs after
+    it.
 
     ``drain_settle`` lifts the settle-round cap to ``max(settle_rounds,
     4n)`` with an early exit after 8 consecutive no-progress rounds.
@@ -739,16 +797,17 @@ def dynamic_heavy(
     every epoch.  Draining the settle phase keeps every cohort ball
     below the population-average cap whenever capacity for it exists;
     the dynamic runner turns this on automatically for adversarial and
-    fault-injected regimes.  Settle draws come from the dedicated
-    ``("dynamic", "settle")`` streams, so the default-off path is
-    bitwise-unchanged.
+    fault-injected regimes.
 
     With ``settle_rounds=0``, all-zero ``initial_loads``, and
     ``m >= n`` this is exactly ``run_heavy(m, n, seed=seed,
     mode=mode)``: same streams, same schedule, same values (the
     fresh-fill anchor the 100%-churn tests pin; settle rounds draw
-    from their own ``("dynamic", "settle")`` stream, so enabling them
-    perturbs no phase-1 or light draw).
+    from their own stream, so enabling them perturbs no phase-1 or
+    light draw).  The phase-2 handoff and its fold are
+    :func:`run_heavy`'s own; ``extra`` records ``phase1_rounds``,
+    ``settle_rounds`` and ``phase2_rounds`` (plus
+    ``light_used_fallback`` and ``virtual_factor`` after a handoff).
 
     ``chunk_size`` engages the value-preserving memory path (see
     :func:`run_heavy`) for the threshold and settle rounds alike; both
@@ -789,22 +848,24 @@ def dynamic_heavy(
     # estimate (a fresh fill has estimate(0) == m only up to rounding).
     while start < planned - 1 and sched.estimate(start) > m * (1 + 1e-9):
         start += 1
+    common = dict(
+        rng_factory=factory,
+        mode=mode,
+        # A placement returns no per-ball tallies, so keep none.
+        track_per_ball=False,
+        chunk_size=chunk_size,
+    )
     phase1 = run_threshold_protocol(
         m,
         n,
         sched,
-        rng_factory=factory,
-        mode=mode,
         max_rounds=config.max_rounds,
-        # A placement returns no per-ball tallies, so keep none.
-        track_per_ball=False,
         workload=bound,
         initial_loads=initial,
-        skip_saturated_rounds=True,
         start_round=start,
-        chunk_size=chunk_size,
+        **common,
     )
-    loads = phase1.loads.copy()
+    loads = phase1.loads
     rounds = phase1.rounds
     messages = phase1.total_messages
     unplaced = phase1.remaining
@@ -819,87 +880,44 @@ def dynamic_heavy(
     }
 
     if unplaced > 0 and (settle_rounds > 0 or drain_settle):
-        settle_threshold = math.ceil(total / n)
-        settle_weights = (
-            bound.weights[straggler_ids]
-            if bound.weights is not None and straggler_ids is not None
-            else None
-        )
-        state = RoundState(
+        settle_bound = bound
+        if bound.weights is not None:
+            # The settle's balls are the stragglers: carry their weights.
+            settle_bound = copy.copy(bound)
+            settle_bound.weights = bound.weights[straggler_ids]
+        settle = run_threshold_protocol(
             unplaced,
             n,
-            granularity=mode,
+            FixedSchedule(total, n, slack=0),
+            max_rounds=(
+                max(settle_rounds, 4 * n) if drain_settle else settle_rounds
+            ),
+            workload=settle_bound,
             initial_loads=loads,
-            weights=settle_weights,
-            weight_sum_sampler=bound.weight_sum_sampler,
-            chunk_size=chunk_size,
+            # Skewed contact distributions can aim every draw at
+            # capacity-less bins; a drain stops paying messages once it
+            # stops making progress.
+            stall_rounds=8 if drain_settle else None,
+            phase="settle",
+            **common,
         )
-        settle_rng = factory.stream("dynamic", "settle")
-        settle_accept = factory.stream("dynamic", "settle", "accept")
-        settle_cap = (
-            max(settle_rounds, 4 * n) if drain_settle else settle_rounds
-        )
-        stale = 0
-        prev_active = state.active_count
-        while state.active_count > 0 and state.rounds < settle_cap:
-            capacity = np.maximum(
-                bound.capacities(settle_threshold) - state.loads, 0
-            )
-            if not np.any(capacity > 0):
-                break
-            batch = state.sample_contacts(settle_rng, pvals=bound.sampler)
-            decision = state.group_and_accept(
-                batch, capacity, settle_accept
-            )
-            state.commit_and_revoke(
-                batch, decision, threshold=settle_threshold
-            )
-            if drain_settle:
-                # Skewed contact distributions can aim every draw at
-                # capacity-less bins; stop paying messages once the
-                # drain stops making progress.
-                if state.active_count == prev_active:
-                    stale += 1
-                    if stale >= 8:
-                        break
-                else:
-                    stale = 0
-                    prev_active = state.active_count
-        # ``state`` copied ``loads`` at construction, so this is a
-        # private array already; widen chunked-run loads to int64.
-        loads = state.loads.astype(np.int64, copy=False)
-        rounds += state.rounds
-        messages += int(state.total_messages)
-        if weighted_loads is not None and state.weighted_loads is not None:
-            weighted_loads = weighted_loads + state.weighted_loads
-        if straggler_ids is not None and state.active is not None:
-            straggler_ids = straggler_ids[state.active]
-        unplaced = state.active_count
-        extra["settle_rounds"] = state.rounds
+        loads = settle.loads
+        rounds += settle.rounds
+        messages += settle.total_messages
+        if weighted_loads is not None:
+            weighted_loads = weighted_loads + settle.weighted_loads
+        if straggler_ids is not None:
+            straggler_ids = straggler_ids[settle.remaining_ids]
+        unplaced = settle.remaining
+        extra["settle_rounds"] = settle.rounds
 
     if handoff and unplaced > 0:
-        real_loads, light, vmap = run_light_on_virtual_bins(
-            unplaced,
-            n,
-            seed=factory.stream("light"),
-            config=config.light,
+        (phase2,) = _light_phase(n, [unplaced], [factory], config.light)
+        rounds, messages = _fold_light(
+            phase2, loads, weighted_loads, bound=bound,
+            straggler_ids=straggler_ids, metrics=None,
+            rounds=rounds, messages=messages, extra=extra,
         )
-        loads += real_loads
-        if weighted_loads is not None:
-            if bound.weights is not None and straggler_ids is not None:
-                np.add.at(
-                    weighted_loads,
-                    vmap.to_real(light.assignment),
-                    bound.weights[straggler_ids],
-                )
-            elif bound.weight_sum_sampler is not None:
-                weighted_loads = (
-                    weighted_loads + bound.weight_sum_sampler(real_loads)
-                )
-        rounds += light.rounds
-        messages += light.total_messages
-        extra["phase2_rounds"] = light.rounds
-        extra["light_used_fallback"] = light.used_fallback
         unplaced = 0
     workload_record = bound.extra_record(weighted_loads)
     if workload_record is not None:

@@ -27,9 +27,10 @@ from typing import Optional
 import numpy as np
 
 from repro.api.spec import register_allocator
+from repro.core.heavy import _fold_light, _light_phase
 from repro.core.thresholds import PaperSchedule, ThresholdSchedule
 from repro.fastpath.roundstate import RoundState
-from repro.light.virtual import run_light_on_virtual_bins
+from repro.light.lw16 import LightConfig
 from repro.result import AllocationResult
 from repro.utils.seeding import RngFactory
 from repro.utils.validation import check_positive_int, ensure_m_n
@@ -75,7 +76,8 @@ def run_heavy_multicontact(
     -------
     AllocationResult
         ``extra`` carries ``d``, ``phase1_rounds``, ``phase1_remaining``
-        and ``phase2_rounds``.
+        and ``phase2_rounds`` (plus ``light_used_fallback`` and
+        ``virtual_factor`` after a handoff).
     """
     m, n = ensure_m_n(m, n, require_heavy=True)
     d = check_positive_int(d, "d")
@@ -105,39 +107,26 @@ def run_heavy_multicontact(
             batch, decision, threshold=threshold, accept_cost=2
         )
 
-    loads = state.loads
-    metrics = state.metrics
+    rounds = state.rounds
     total_messages = state.total_messages
-    phase1_rounds = state.rounds
-    phase1_remaining = state.active_count
+    unallocated = state.active_count
     extra = {
         "d": d,
-        "phase1_rounds": phase1_rounds,
-        "phase1_remaining": phase1_remaining,
+        "phase1_rounds": rounds,
+        "phase1_remaining": unallocated,
         "phase2_rounds": 0,
     }
-    unallocated = phase1_remaining
-    rounds = phase1_rounds
-    weighted_loads = state.weighted_loads
 
     if handoff and unallocated > 0:
-        real_loads, light, vmap = run_light_on_virtual_bins(
-            unallocated, n, seed=factory.stream("light")
+        (phase2,) = _light_phase(n, [unallocated], [factory], LightConfig())
+        rounds, total_messages = _fold_light(
+            phase2, state.loads, state.weighted_loads, bound=wl,
+            straggler_ids=state.active, metrics=state.metrics,
+            rounds=rounds, messages=total_messages, extra=extra,
         )
-        loads += real_loads
-        if weighted_loads is not None:
-            np.add.at(
-                weighted_loads,
-                vmap.to_real(light.assignment),
-                wl.weights[state.active],
-            )
-        rounds += light.rounds
-        total_messages += light.total_messages
-        extra["phase2_rounds"] = light.rounds
-        extra["virtual_factor"] = vmap.factor
         unallocated = 0
 
-    workload_record = wl.extra_record(weighted_loads)
+    workload_record = wl.extra_record(state.weighted_loads)
     if workload_record is not None:
         extra["workload"] = workload_record
 
@@ -145,9 +134,9 @@ def run_heavy_multicontact(
         algorithm=f"heavy-multicontact[{d}]",
         m=m,
         n=n,
-        loads=loads,
+        loads=state.loads,
         rounds=rounds,
-        metrics=metrics,
+        metrics=state.metrics,
         total_messages=total_messages,
         complete=unallocated == 0,
         unallocated=unallocated,

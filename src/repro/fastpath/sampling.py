@@ -427,9 +427,8 @@ def grouped_accept(
     capacity = np.atleast_1d(np.asarray(capacity))
     k = choices.size
     if k == 0:
-        # Empty request round (e.g. a schedule running past the last
-        # active ball with ``stop_when_empty=False``): nothing to
-        # group, no RNG consumed.
+        # Empty request round (a round run with no active ball, e.g.
+        # on ``RoundState(0, n)``): nothing to group, no RNG consumed.
         mask = np.zeros(0, dtype=bool)
         return (mask, None) if return_counts else mask
     if not np.issubdtype(choices.dtype, np.integer):

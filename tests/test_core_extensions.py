@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core import run_heavy, run_heavy_faulty, run_heavy_multicontact
 from repro.core.thresholds import PaperSchedule
 
@@ -134,3 +135,24 @@ class TestFaulty:
         b = run_heavy_faulty(2**14, 128, seed=7, loss_prob=0.05)
         assert np.array_equal(a.loads, b.loads)
         assert a.extra["ghost_slots"] == b.extra["ghost_slots"]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_heavy(20_000, 64, seed=1),
+        lambda: repro.allocate("combined", 20_000, 64, seed=1),
+        lambda: run_heavy_faulty(20_000, 64, seed=1, loss_prob=0.05),
+        lambda: run_heavy_multicontact(20_000, 64, 2, seed=1),
+    ],
+    ids=["heavy", "combined", "faulty", "multicontact"],
+)
+def test_metrics_rows_cover_the_handoff(run):
+    """Every reported round has one ``metrics`` row, ``A_light``'s
+    included, numbered in order after the threshold rounds."""
+    res = run()
+    assert res.extra["phase2_rounds"] > 0
+    assert len(res.metrics.rounds) == res.rounds
+    assert [r.round_no for r in res.metrics.rounds] == list(range(res.rounds))
+    assert res.metrics.rounds[-1].unallocated_end == 0
+    assert {"light_used_fallback", "virtual_factor"} <= set(res.extra)

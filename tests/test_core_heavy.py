@@ -196,6 +196,14 @@ class TestThresholdProtocolGeneric:
         )
         assert out.counter is None
 
+    @pytest.mark.parametrize(
+        "bad", [{"phase": "light"}, {"stall_rounds": 0}, {"start_round": -1}]
+    )
+    def test_rejects_bad_run_options(self, bad):
+        m, n = 2**10, 32
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            run_threshold_protocol(m, n, PaperSchedule(m, n), **bad)
+
     def test_aggregate_mode_counts(self):
         m, n = 2**20, 256
         out = run_threshold_protocol(

@@ -456,6 +456,83 @@ class TestPinnedStreams:
         )
 
 
+#: ``(mode, drain_settle, handoff) -> (loads, placed, rounds, messages,
+#: settle_rounds)`` of a settle that runs out of capacity with balls
+#: left: the capacity profile scales the settle caps ``ceil(9/3) = 3``
+#: to ``[2, 6, 0]``, 8 slots for 9 balls.
+SATURATED_SETTLE_PINS = {
+    ("perball", False, False): ([2, 5, 0], 5, 3, 20, 2),
+    ("perball", False, True): ([2, 7, 0], 7, 4, 26, 2),
+    ("perball", True, False): ([2, 6, 0], 6, 4, 23, 3),
+    ("perball", True, True): ([2, 7, 0], 7, 5, 26, 3),
+    ("aggregate", False, False): ([2, 5, 0], 5, 3, 21, 2),
+    ("aggregate", False, True): ([2, 7, 0], 7, 4, 27, 2),
+    ("aggregate", True, False): ([2, 6, 0], 6, 5, 26, 4),
+    ("aggregate", True, True): ([2, 7, 0], 7, 6, 29, 4),
+}
+
+#: ``(mode, drain_settle) -> (crc32 of loads, placed, rounds, messages,
+#: settle_rounds, weighted_max_load, weighted_gap, total_weight)`` of a
+#: weighted cohort: the only path whose settle carries a per-ball
+#: weight subset (``run_dynamic`` rejects weighted workloads).
+WEIGHTED_SETTLE_PINS = {
+    ("perball", False): (660633928, 800, 9, 3462, 2, 111.0, 59.78125, 1639.0),
+    ("perball", True): (921931902, 800, 84, 6185, 79, 114.0, 62.78125, 1639.0),
+    ("aggregate", False): (2396081555, 800, 9, 3550, 2, 116.0, 63.875, 1668.0),
+    ("aggregate", True): (1857010378, 800, 110, 7319, 105, 109.0, 58.0, 1632.0),
+}
+
+
+class TestSettlePins:
+    """Settle-round values recorded before the settle became a
+    ``run_threshold_protocol`` call, on the two paths only the old
+    settle loop's special cases reached."""
+
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    @pytest.mark.parametrize("case", sorted(SATURATED_SETTLE_PINS))
+    def test_saturated_settle(self, case, backend):
+        from repro.fastpath.backend import use_backend
+        from repro.workloads import Workload
+
+        mode, drain, handoff = case
+        with use_backend(backend):
+            p = dynamic_heavy(
+                7, 3, initial_loads=[0, 2, 0], seed=1, mode=mode,
+                workload=Workload(
+                    capacity="explicit", capacity_values=[0.8, 2.05, 0.15]
+                ),
+                drain_settle=drain, handoff=handoff,
+            )
+        got = (p.loads.tolist(), p.placed, p.rounds, p.total_messages,
+               p.extra["settle_rounds"])
+        assert got == SATURATED_SETTLE_PINS[case]
+        assert p.unplaced == (0 if handoff else 7 - p.placed)
+        assert p.extra["workload"] == {"spec": "explicitcap[3 bins]"}
+
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    @pytest.mark.parametrize("case", sorted(WEIGHTED_SETTLE_PINS))
+    def test_weighted_settle(self, case, backend):
+        from repro.fastpath.backend import use_backend
+
+        mode, drain = case
+        with use_backend(backend):
+            p = dynamic_heavy(
+                800, 32, initial_loads=(np.arange(32) % 5) * 12, seed=7,
+                workload="zipf:1.1+geomw:0.5", mode=mode, drain_settle=drain,
+            )
+        record = p.extra["workload"]
+        assert record["spec"] == "zipf:1.1+geomw:0.5"
+        loads = np.ascontiguousarray(p.loads, dtype="<i8")
+        got = (
+            zlib.crc32(loads.tobytes()), p.placed, p.rounds,
+            p.total_messages, p.extra["settle_rounds"],
+            record["weighted_max_load"], record["weighted_gap"],
+            record["total_weight"],
+        )
+        assert got == WEIGHTED_SETTLE_PINS[case]
+        assert p.extra["phase2_rounds"] > 0
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("departures", ["uniform", "fifo", "hotset"])
     def test_workers_never_change_values(self, departures):

@@ -316,8 +316,8 @@ class TestCommitAndRevoke:
         assert state.counter.bin_received.sum() == 100
 
     def test_empty_round_is_recorded(self, rng):
-        """Empty request rounds (no active balls, stop_when_empty off)
-        flow through all three kernels without error."""
+        """Empty request rounds (no active balls) flow through all
+        three kernels without error."""
         state = RoundState(0, 4)
         batch = state.sample_contacts(rng)
         decision = state.group_and_accept(batch, np.full(4, 2), rng)

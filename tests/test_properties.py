@@ -453,7 +453,6 @@ def test_saturated_initial_loads_terminate_with_zero_draws(n, ratio, seed):
         rng_factory=RngFactory(seed),
         mode="aggregate",
         initial_loads=saturated,
-        skip_saturated_rounds=True,
     )
     assert outcome.rounds == 0
     assert outcome.total_messages == 0
@@ -486,7 +485,6 @@ def test_saturated_prefix_consumes_no_stream(n, ratio, prefix, seed):
         rng_factory=RngFactory(seed),
         mode="aggregate",
         initial_loads=base,
-        skip_saturated_rounds=True,
     )
     without = run_threshold_protocol(
         m,
@@ -495,7 +493,6 @@ def test_saturated_prefix_consumes_no_stream(n, ratio, prefix, seed):
         rng_factory=RngFactory(seed),
         mode="aggregate",
         initial_loads=base,
-        skip_saturated_rounds=True,
     )
     assert np.array_equal(with_prefix.loads, without.loads)
     assert with_prefix.rounds == without.rounds

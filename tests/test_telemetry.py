@@ -469,6 +469,30 @@ class TestBitwiseIdentity:
         ]
         assert any(e["name"] == "epoch" for e in tele.tracer.events)
 
+    @pytest.mark.parametrize("mode", ["perball", "aggregate"])
+    def test_dynamic_heavy_settle_and_handoff_spans(self, mode):
+        """A drained settle is one ``settle`` phase span with a
+        ``round`` span per settle round, and the handoff one ``light``
+        span, next to the threshold phase's."""
+        from repro.core.heavy import dynamic_heavy
+
+        off, on, tele = _on_off(
+            lambda: dynamic_heavy(
+                800, 32, initial_loads=(np.arange(32) % 5) * 12, seed=7,
+                mode=mode, drain_settle=True,
+            )
+        )
+        assert np.array_equal(off.loads, on.loads)
+        assert (off.rounds, off.total_messages, off.extra) == (
+            on.rounds, on.total_messages, on.extra
+        )
+        assert on.extra["settle_rounds"] > 0 and on.extra["phase2_rounds"] > 0
+        events = tele.tracer.events
+        phases = [e["args"]["phase"] for e in events if e["name"] == "phase"]
+        assert phases == ["threshold", "settle", "light"]
+        rounds = sum(1 for e in events if e["name"] == "round")
+        assert rounds == on.extra["phase1_rounds"] + on.extra["settle_rounds"]
+
     def test_simulate_service(self):
         off, on, tele = _on_off(
             lambda: simulate_service("heavy", 5_000, 64, seed=0, epochs=3)
