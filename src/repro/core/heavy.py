@@ -241,8 +241,9 @@ def run_threshold_protocol(
     round_index = start_round
     while round_index < cap_rounds and state.active_count > 0:
         threshold = schedule.threshold(round_index)
-        capacity = np.maximum(bound.capacities(threshold) - state.loads, 0)
-        if not skip_saturated or np.any(capacity > 0):
+        capacity = bound.capacities(threshold) - state.loads
+        np.maximum(capacity, 0, out=capacity)
+        if not skip_saturated or capacity.max() > 0:
             thresholds.append(threshold)
             if tele is not None:
                 round_start = tele.begin()
@@ -463,6 +464,18 @@ def _light_phase(
     return runs
 
 
+def _append_rows(
+    metrics: RunMetrics, rows, rounds: int, loads: np.ndarray
+) -> None:
+    """Append phase 2's metric ``rows`` after the ``rounds`` already
+    run, each with the run's final maximum of ``loads``."""
+    max_load = int(loads.max(initial=0))
+    for row in rows:
+        metrics.add_round(
+            replace(row, round_no=rounds + row.round_no, max_load=max_load)
+        )
+
+
 def _fold_light(
     phase2: tuple,
     loads: np.ndarray,
@@ -500,11 +513,7 @@ def _fold_light(
         else:
             weighted_loads += bound.weight_sum_sampler(real_loads)
     if metrics is not None:
-        max_load = int(loads.max(initial=0))
-        for row in light.metrics.rounds:
-            metrics.add_round(
-                replace(row, round_no=rounds + row.round_no, max_load=max_load)
-            )
+        _append_rows(metrics, light.metrics.rounds, rounds, loads)
     extra["phase2_rounds"] = light.rounds
     extra["light_used_fallback"] = light.used_fallback
     extra["virtual_factor"] = vmap.factor

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.heavy import _append_rows
 from repro.core.thresholds import PaperSchedule, ThresholdSchedule
 from repro.light.lw16 import tower_schedule
 from repro.light.virtual import VirtualBinMap
@@ -235,6 +236,8 @@ def run_heavy_engine(
             total_messages += need
             extra["light_used_fallback"] = True
         loads += vmap.fold_loads(virtual_loads)
+        # Phase 2's rows after phase 1's, as the vectorized fold has them.
+        _append_rows(outcome1.metrics, outcome2.metrics.rounds, rounds, loads)
         rounds += outcome2.rounds
         total_messages += outcome2.counter.total
         extra["phase2_rounds"] = outcome2.rounds

@@ -18,7 +18,8 @@ top of the sampling kernels: :class:`RoundState` owns the flat arrays
 (loads, active balls, metrics, message tallies) and exposes the three
 kernel steps — ``sample_contacts``, ``group_and_accept``,
 ``commit_and_revoke`` — that every protocol's vectorized mode drives
-(see ``docs/performance.md``).
+(see ``docs/performance.md``).  A round's record is the ``RunMetrics``
+row its commit step appends.
 
 A third axis batches *trials*: the aggregate-granularity state accepts
 ``trials=T`` and advances T independent replications of one instance
@@ -52,7 +53,6 @@ from repro.fastpath.backend import (
 from repro.fastpath.roundstate import (
     AcceptDecision,
     ContactBatch,
-    RoundOutcome,
     RoundState,
     narrow_dtypes,
     priority_commit_accept,
@@ -79,7 +79,6 @@ __all__ = [
     "FusedBackend",
     "KernelBackend",
     "ReferenceBackend",
-    "RoundOutcome",
     "RoundState",
     "available_backends",
     "fill_choices",

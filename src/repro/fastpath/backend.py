@@ -320,7 +320,7 @@ class FusedBackend(ReferenceBackend):
             return mask
         sub_choices = choices[sel]
         sub_prio = priorities[sel]
-        if not np.all((sub_prio >= 0.0) & (sub_prio < 1.0)):
+        if not (sub_prio.min() >= 0.0 and sub_prio.max() < 1.0):
             # Arbitrary float priorities (never produced by the RNG
             # draws, but this is a public primitive): the 32-bit mark
             # embedding only covers [0, 1).

@@ -54,6 +54,13 @@ the accept stream relative to pre-kernel code from that round on.
 Such rounds reject everything in both versions; only the stream
 offset differs, never the distribution.
 
+Per-round fixed cost: past the draw, the steps check only what a
+protocol supplies (its ``targets``, and that a capacity covers the
+target space), never values the round drew itself, since the dynamic
+settle runs about a thousand rounds of a few dozen balls per call;
+``commit_and_revoke`` returns nothing, the ``RoundMetrics`` row it
+appends being the round's record.
+
 Trial batching (the replication engine's backend): constructing the
 aggregate-granularity state with ``trials=T`` gives every owned array a
 leading trial axis — ``loads`` becomes ``(T, n)``, the active count a
@@ -99,7 +106,6 @@ from repro.telemetry import current_telemetry
 from repro.fastpath.sampling import (
     ChoiceSampler,
     fill_choices,
-    grouped_accept,
     multinomial_occupancy,
     multinomial_occupancy_batched,
     sample_choices,
@@ -110,7 +116,6 @@ __all__ = [
     "AcceptDecision",
     "ContactBatch",
     "Granularity",
-    "RoundOutcome",
     "RoundState",
     "narrow_dtypes",
     "priority_commit_accept",
@@ -225,29 +230,6 @@ class AcceptDecision:
     resolved: bool = False
     bin_requests: Optional[np.ndarray] = None
     bin_accepts: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    """What one kernel round did, for protocol-level accounting.
-
-    Trial-batched rounds report the per-trial quantities
-    (``unallocated_start`` through ``unallocated_end``) as ``(T,)``
-    int64 vectors; ``round_no`` is then the lock-step round index.
-    """
-
-    round_no: int
-    unallocated_start: Any
-    requests_sent: Any
-    accepts_sent: Any
-    commits: Any
-    unallocated_end: Any
-    #: Global ids of the balls that committed this round (perball only).
-    committed_balls: Optional[np.ndarray] = None
-    #: Their target bins, aligned with ``committed_balls`` — ``None``
-    #: when the grouping's per-bin accepts placed an unweighted round
-    #: (see :class:`AcceptDecision`), which never needs them.
-    committed_bins: Optional[np.ndarray] = None
 
 
 def priority_commit_accept(
@@ -596,7 +578,8 @@ class RoundState:
             matching ``rng.integers(..., size=(u, d))`` flattening).
         targets:
             Protocol-supplied flat targets (deterministic rules, derived
-            spaces like superbins).  Length must be ``active_count * d``.
+            spaces like superbins).  Length must be ``active_count * d``,
+            every target inside the target space.
         n_targets:
             Size of the target space when it is not the bin count.
         pvals:
@@ -663,6 +646,12 @@ class RoundState:
                     f"targets has {choices.size} entries, expected "
                     f"active_count * d = {u} * {d}"
                 )
+            # The one range check of a round: drawn targets are in
+            # range by construction, so the grouping checks none.
+            if choices.size and (choices.min() < 0 or choices.max() >= space):
+                raise ValueError(
+                    f"request target out of range for {space} targets"
+                )
         elif self.chunk_size is not None:
             # Chunked path: the same draws, one bounded tile at a time,
             # stored at the narrowed index width — the memory shape of
@@ -705,8 +694,9 @@ class RoundState:
         batch:
             The contact batch from :meth:`sample_contacts`.
         capacity:
-            Per-target residual capacities; ``None`` accepts everything
-            (one-shot processes).
+            Per-target residual capacities, at least one per target
+            (``ValueError`` otherwise; negative entries count as 0);
+            ``None`` accepts everything (one-shot processes).
         rng:
             Random stream for within-bin selection (``uniform``) or
             tie-break marks (``priority_commit``).
@@ -729,19 +719,32 @@ class RoundState:
                 accepts_sent=k, accepted=np.ones(k, dtype=bool)
             )
         if policy == "uniform":
-            counts = None
-            if delivered is not None:
-                accepted = np.zeros(k, dtype=bool)
-                if delivered.any():
-                    sub = grouped_accept(
-                        choices[delivered], capacity, rng, backend=self.backend
-                    )
-                    accepted[np.flatnonzero(delivered)[sub]] = True
-            else:
-                accepted, counts = grouped_accept(
-                    choices, capacity, rng, backend=self.backend,
-                    return_counts=True,
+            # ``grouped_accept`` without its per-round checks: the
+            # targets were range-checked (or drawn in range) by
+            # ``sample_contacts``, so a capacity covering the target
+            # space covers every request.
+            cap = np.maximum(capacity, 0)
+            if cap.size < batch.n_targets:
+                raise ValueError(
+                    f"capacity has {cap.size} entries for "
+                    f"{batch.n_targets} targets"
                 )
+            # Only the delivered requests reach their bins.
+            sub = choices if delivered is None else choices[delivered]
+            if sub.size == 0 or cap.max() == 0:
+                # Nothing to group, or every bin saturated: all requests
+                # are rejected without drawing priorities.
+                return AcceptDecision(
+                    accepts_sent=0, accepted=np.zeros(k, dtype=bool)
+                )
+            accepted, counts = self.backend.grouped_accept_with_priorities(
+                sub, cap, rng.random(sub.size), True
+            )
+            if delivered is not None:
+                hits = np.flatnonzero(delivered)[accepted]
+                accepted = np.zeros(k, dtype=bool)
+                accepted[hits] = True
+                return AcceptDecision(accepts_sent=hits.size, accepted=accepted)
             if (
                 counts is None
                 or batch.requester_pos is not None
@@ -752,7 +755,7 @@ class RoundState:
                 )
             # One contact per ball over the bins: bin b accepts exactly
             # min(count_b, capacity_b) balls, and each accept commits.
-            accepts = np.minimum(counts, np.maximum(capacity, 0))
+            accepts = np.minimum(counts, cap)
             return AcceptDecision(
                 accepts_sent=int(accepts.sum()),
                 accepted=accepted,
@@ -829,7 +832,7 @@ class RoundState:
         count_commits: bool = False,
         record_counter: bool = True,
         record_accepts: bool = True,
-    ) -> RoundOutcome:
+    ) -> None:
         """Commit accepted balls, update state, and close the round.
 
         Resolves multiple accepts per ball (first accepted request in
@@ -837,7 +840,9 @@ class RoundState:
         already applied random priorities), bumps loads, shrinks the
         active set, appends the
         :class:`~repro.simulation.metrics.RoundMetrics` row, and adds
-        this round's messages.
+        this round's messages.  Returns nothing: the appended row
+        (``metrics.rounds[-1]``, or a live trial's
+        ``trial_metrics[t].rounds[-1]``) is the record of the round.
 
         Parameters
         ----------
@@ -876,102 +881,114 @@ class RoundState:
         u = self.active_count
         if self.granularity == "aggregate" or batch.counts is not None:
             accepted = decision.accepted_per_bin
-            commits = accepts = int(accepted.sum())
+            commits = int(accepted.sum())
             intake = target_counts if target_counts is not None else accepted
             self.loads += intake
             if self.weight_sum_sampler is not None:
                 self.weighted_loads += self.weight_sum_sampler(intake)
             self._active_count = u - commits
-            outcome = self._close_round(
-                batch,
-                decision,
-                threshold=threshold,
-                unallocated_start=u,
-                commits=commits,
-                accept_cost=accept_cost,
-                count_commits=count_commits,
-                committed_balls=None,
-                committed_bins=None,
-            )
-            return outcome
-
-        balls = self.active
-        if decision.resolved:
-            committed_mask = decision.committed_pos
-            commit_bins = decision.committed_bin[committed_mask]
-        elif batch.requester_pos is None:
-            committed_mask = decision.accepted
-            # The grouping's per-bin accepts stand in for each commit's
-            # bin everywhere but in the weighted loads.
-            commit_bins = (
-                batch.choices[committed_mask]
-                if decision.bin_accepts is None or self.weights is not None
-                else None
-            )
         else:
-            accepted = decision.accepted
-            acc_positions = batch.requester_pos[accepted]
-            acc_bins = batch.choices[accepted]
-            committed_mask = np.zeros(u, dtype=bool)
-            commit_bins = np.zeros(0, dtype=np.int64)
-            if acc_positions.size:
-                sorted_positions, sorted_bins = (
-                    self.backend.sort_accepts_by_position(
-                        acc_positions, acc_bins
+            balls = self.active
+            if decision.resolved:
+                committed_mask = decision.committed_pos
+                commit_bins = decision.committed_bin[committed_mask]
+            elif batch.requester_pos is None:
+                committed_mask = decision.accepted
+                # The grouping's per-bin accepts stand in for each commit's
+                # bin everywhere but in the weighted loads.
+                commit_bins = (
+                    batch.choices[committed_mask]
+                    if decision.bin_accepts is None or self.weights is not None
+                    else None
+                )
+            else:
+                accepted = decision.accepted
+                acc_positions = batch.requester_pos[accepted]
+                acc_bins = batch.choices[accepted]
+                committed_mask = np.zeros(u, dtype=bool)
+                commit_bins = np.zeros(0, dtype=np.int64)
+                if acc_positions.size:
+                    sorted_positions, sorted_bins = (
+                        self.backend.sort_accepts_by_position(
+                            acc_positions, acc_bins
+                        )
                     )
-                )
-                first = np.concatenate(
-                    ([True], sorted_positions[1:] != sorted_positions[:-1])
-                )
-                winners_pos = sorted_positions[first]
-                commit_bins = sorted_bins[first]
-                committed_mask[winners_pos] = True
-        commits = int(committed_mask.sum())
-        committed_balls = balls[committed_mask]
-        bins_for_load = target_bins if target_bins is not None else commit_bins
-        if decision.bin_accepts is not None and target_bins is None:
-            self.loads += decision.bin_accepts
-        else:
-            self.backend.scatter_counts(self.loads, bins_for_load)
-        if self.weights is not None and commits:
-            # ``bins_for_load`` is aligned with the committed set (its
-            # pairing is the assignment the protocol chose), so the
-            # committing balls' weights land where the balls did.
-            self.backend.scatter_weights(
-                self.weighted_loads,
-                bins_for_load,
-                self.weights[committed_balls],
+                    first = np.concatenate(
+                        ([True], sorted_positions[1:] != sorted_positions[:-1])
+                    )
+                    winners_pos = sorted_positions[first]
+                    commit_bins = sorted_bins[first]
+                    committed_mask[winners_pos] = True
+            # Per-bin accepts are commits one for one, so they also give the
+            # commit count without a pass over the mask.
+            commits = (
+                decision.accepts_sent
+                if decision.bin_accepts is not None
+                else int(committed_mask.sum())
             )
-        if (
-            record_counter
-            and self.counter is not None
-            and not decision.resolved
-            and batch.requester_pos is None
-        ):
-            self.counter.record_round(
-                balls,
-                committed_balls,
-                batch.choices,
-                commit_bins,
-                accepts=record_accepts,
-                per_bin=(
-                    None
-                    if decision.bin_requests is None
-                    else (decision.bin_requests, decision.bin_accepts)
-                ),
+            record = (
+                record_counter
+                and self.counter is not None
+                and not decision.resolved
+                and batch.requester_pos is None
             )
-        self.active = balls[~committed_mask]
-        return self._close_round(
-            batch,
-            decision,
-            threshold=threshold,
-            unallocated_start=u,
-            commits=commits,
-            accept_cost=accept_cost,
-            count_commits=count_commits,
-            committed_balls=committed_balls,
-            committed_bins=bins_for_load,
+            weighted = self.weights is not None and commits > 0
+            # Ids of the committing balls, built only for their readers.
+            committed_balls = (
+                balls[committed_mask] if record or weighted else None
+            )
+            bins_for_load = (
+                target_bins if target_bins is not None else commit_bins
+            )
+            if decision.bin_accepts is not None and target_bins is None:
+                self.loads += decision.bin_accepts
+            else:
+                self.backend.scatter_counts(self.loads, bins_for_load)
+            if weighted:
+                # ``bins_for_load`` is aligned with the committed set (its
+                # pairing is the assignment the protocol chose), so the
+                # committing balls' weights land where the balls did.
+                self.backend.scatter_weights(
+                    self.weighted_loads,
+                    bins_for_load,
+                    self.weights[committed_balls],
+                )
+            if record:
+                self.counter.record_round(
+                    balls,
+                    committed_balls,
+                    batch.choices,
+                    commit_bins,
+                    accepts=record_accepts,
+                    per_bin=(
+                        None
+                        if decision.bin_requests is None
+                        else (decision.bin_requests, decision.bin_accepts)
+                    ),
+                )
+            self.active = balls[~committed_mask]
+        messages = batch.requests_sent + accept_cost * decision.accepts_sent
+        if count_commits:
+            messages += commits
+        self.total_messages += messages
+        if self._telemetry is not None:
+            self._telemetry.count("kernel.rounds")
+            self._telemetry.count("kernel.commits", commits)
+            self._telemetry.count("kernel.messages", messages)
+        self.metrics.add_round(
+            RoundMetrics(
+                round_no=self.rounds,
+                unallocated_start=u,
+                requests_sent=batch.requests_sent,
+                accepts_sent=decision.accepts_sent,
+                rejects_sent=0,
+                commits=commits,
+                unallocated_end=self.active_count,
+                max_load=int(self.loads.max(initial=0)),
+                threshold=None if threshold is None else float(threshold),
+            )
         )
+        self.rounds += 1
 
     def _commit_and_revoke_trials(
         self,
@@ -982,7 +999,7 @@ class RoundState:
         target_counts: Optional[np.ndarray],
         accept_cost: int,
         count_commits: bool,
-    ) -> RoundOutcome:
+    ) -> None:
         """Commit one lock-step round across all live trials.
 
         Row-for-row this is the scalar aggregate commit: live trials
@@ -1040,61 +1057,4 @@ class RoundState:
                 )
             )
         self.trial_rounds[mask] += 1
-        outcome = RoundOutcome(
-            round_no=self.rounds,
-            unallocated_start=start,
-            requests_sent=batch.requests_sent,
-            accepts_sent=accepts,
-            commits=commits,
-            unallocated_end=self._active_count,
-        )
         self.rounds += 1
-        return outcome
-
-    def _close_round(
-        self,
-        batch: ContactBatch,
-        decision: AcceptDecision,
-        *,
-        threshold: Optional[float],
-        unallocated_start: int,
-        commits: int,
-        accept_cost: int,
-        count_commits: bool,
-        committed_balls: Optional[np.ndarray],
-        committed_bins: Optional[np.ndarray],
-    ) -> RoundOutcome:
-        unallocated_end = self.active_count
-        messages = batch.requests_sent + accept_cost * decision.accepts_sent
-        if count_commits:
-            messages += commits
-        self.total_messages += messages
-        if self._telemetry is not None:
-            self._telemetry.count("kernel.rounds")
-            self._telemetry.count("kernel.commits", commits)
-            self._telemetry.count("kernel.messages", messages)
-        self.metrics.add_round(
-            RoundMetrics(
-                round_no=self.rounds,
-                unallocated_start=unallocated_start,
-                requests_sent=batch.requests_sent,
-                accepts_sent=decision.accepts_sent,
-                rejects_sent=0,
-                commits=commits,
-                unallocated_end=unallocated_end,
-                max_load=int(self.loads.max(initial=0)),
-                threshold=None if threshold is None else float(threshold),
-            )
-        )
-        outcome = RoundOutcome(
-            round_no=self.rounds,
-            unallocated_start=unallocated_start,
-            requests_sent=batch.requests_sent,
-            accepts_sent=decision.accepts_sent,
-            commits=commits,
-            unallocated_end=unallocated_end,
-            committed_balls=committed_balls,
-            committed_bins=committed_bins,
-        )
-        self.rounds += 1
-        return outcome

@@ -392,8 +392,7 @@ def grouped_accept(
     capacity: np.ndarray,
     rng: np.random.Generator,
     backend: BackendLike = None,
-    return_counts: bool = False,
-):
+) -> np.ndarray:
     """Boolean mask: which flat requests are accepted.
 
     Each bin ``b`` accepts ``min(capacity[b], #requests to b)`` of its
@@ -418,19 +417,13 @@ def grouped_accept(
     backend:
         Kernel backend (name or instance); ``None`` resolves the
         ambient selection (:func:`repro.fastpath.backend.resolve_backend`).
-    return_counts:
-        Return ``(mask, counts)``, where ``counts`` is the per-bin
-        request count if the backend's grouping computed it, else
-        ``None`` (also for rounds that skip the grouping).
     """
     choices = np.asarray(choices)
     capacity = np.atleast_1d(np.asarray(capacity))
     k = choices.size
     if k == 0:
-        # Empty request round (a round run with no active ball, e.g.
-        # on ``RoundState(0, n)``): nothing to group, no RNG consumed.
-        mask = np.zeros(0, dtype=bool)
-        return (mask, None) if return_counts else mask
+        # Empty request round: nothing to group, no RNG consumed.
+        return np.zeros(0, dtype=bool)
     if not np.issubdtype(choices.dtype, np.integer):
         raise ValueError(
             f"choices must be an integer array, got dtype {choices.dtype}"
@@ -441,11 +434,9 @@ def grouped_accept(
     if int(cap.max(initial=0)) == 0:
         # Every bin saturated (zero-capacity round): all requests are
         # rejected; skip the grouping and its priority draws.
-        mask = np.zeros(k, dtype=bool)
-        return (mask, None) if return_counts else mask
+        return np.zeros(k, dtype=bool)
     return grouped_accept_with_priorities(
-        choices, cap, rng.random(k), backend=backend,
-        return_counts=return_counts,
+        choices, cap, rng.random(k), backend=backend
     )
 
 
@@ -454,8 +445,7 @@ def grouped_accept_with_priorities(
     capacity: np.ndarray,
     priorities: np.ndarray,
     backend: BackendLike = None,
-    return_counts: bool = False,
-):
+) -> np.ndarray:
     """The deterministic core of :func:`grouped_accept`.
 
     Accept the lowest-priority requests of each bin up to capacity.
@@ -471,8 +461,7 @@ def grouped_accept_with_priorities(
     ambient context, identical in value either way.
 
     ``capacity`` must already be clamped to ``>= 0``; ``priorities``
-    must align with ``choices``.  ``return_counts`` is as in
-    :func:`grouped_accept`.
+    must align with ``choices``.
     """
     if priorities.shape != choices.shape:
         raise ValueError(
@@ -480,5 +469,5 @@ def grouped_accept_with_priorities(
             f"shape {choices.shape}"
         )
     return resolve_backend(backend).grouped_accept_with_priorities(
-        choices, capacity, priorities, return_counts
+        choices, capacity, priorities
     )

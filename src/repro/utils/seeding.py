@@ -81,6 +81,20 @@ def spawn_generators(
     return [np.random.default_rng(child) for child in sequence.spawn(count)]
 
 
+def _uint32_words(value) -> list[int]:
+    """``value`` as the 32-bit words SeedSequence mixes: an int splits
+    low word first (zero is one word), and a sequence gives its items'
+    words in order."""
+    if not isinstance(value, (int, np.integer)):
+        return [word for item in value for word in _uint32_words(item)]
+    value = int(value)
+    words = [value & 0xFFFFFFFF]
+    while value >> 32:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
 class RngFactory:
     """A hierarchical source of named, independent random streams.
 
@@ -102,6 +116,9 @@ class RngFactory:
 
     def __init__(self, seed: SeedLike = None) -> None:
         self._root = as_seed_sequence(seed)
+        # Streams seed from uint32 words: SeedSequence then skips the
+        # per-int coercion of a list, and mixes the same pool.
+        self._root_words = _uint32_words(self._root_material())
 
     def _root_material(self) -> list:
         """Entropy plus spawn key, so spawned children stay distinct.
@@ -114,9 +131,9 @@ class RngFactory:
         existing seeds reproduce bitwise.
         """
         entropy = self._root.entropy
-        material = list(
-            entropy if isinstance(entropy, (list, tuple)) else [entropy]
-        )
+        if not isinstance(entropy, (list, tuple, np.ndarray)):
+            entropy = [entropy]
+        material = list(entropy)
         material.extend(int(k) for k in self._root.spawn_key)
         return material
 
@@ -136,18 +153,20 @@ class RngFactory:
         round numbers).  The same key always yields a generator with the
         same state; distinct keys yield independent streams.
         """
-        material = self._root_material()
+        words = list(self._root_words)
         for part in key:
             if isinstance(part, str):
-                material.extend(part.encode("utf-8"))
+                words.extend(part.encode("utf-8"))
             elif isinstance(part, (int, np.integer)):
-                material.append(int(part) & 0xFFFFFFFF)
-                material.append((int(part) >> 32) & 0xFFFFFFFF)
+                words.append(int(part) & 0xFFFFFFFF)
+                words.append((int(part) >> 32) & 0xFFFFFFFF)
             else:
                 raise TypeError(
                     f"stream key parts must be str or int, got {type(part).__name__}"
                 )
-        return np.random.default_rng(np.random.SeedSequence(material))
+        return np.random.default_rng(
+            np.random.SeedSequence(np.array(words, dtype=np.uint32))
+        )
 
     def spawn(self, count: int) -> list[np.random.Generator]:
         """Spawn ``count`` sequential independent generators."""

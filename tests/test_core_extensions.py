@@ -144,8 +144,9 @@ class TestFaulty:
         lambda: repro.allocate("combined", 20_000, 64, seed=1),
         lambda: run_heavy_faulty(20_000, 64, seed=1, loss_prob=0.05),
         lambda: run_heavy_multicontact(20_000, 64, 2, seed=1),
+        lambda: run_heavy(2_000, 32, seed=1, mode="engine"),
     ],
-    ids=["heavy", "combined", "faulty", "multicontact"],
+    ids=["heavy", "combined", "faulty", "multicontact", "engine"],
 )
 def test_metrics_rows_cover_the_handoff(run):
     """Every reported round has one ``metrics`` row, ``A_light``'s

@@ -131,6 +131,18 @@ class TestSampleContacts:
         with pytest.raises(ValueError, match="expected active_count"):
             state.sample_contacts(targets=np.arange(3))
 
+    def test_out_of_range_targets_rejected(self):
+        # The round's one range check: the grouping checks no target.
+        state = RoundState(4, 8)
+        with pytest.raises(ValueError, match="out of range"):
+            state.sample_contacts(targets=np.array([0, 1, 8, 2]))
+        with pytest.raises(ValueError, match="out of range"):
+            state.sample_contacts(targets=np.array([0, -1, 2, 3]))
+        with pytest.raises(ValueError, match="out of range"):
+            state.sample_contacts(
+                targets=np.array([0, 1, 2, 3]), n_targets=3
+            )
+
     def test_aggregate_counts_sum_to_active(self, rng):
         state = RoundState(10**9, 64, granularity="aggregate")
         batch = state.sample_contacts(rng)
@@ -220,6 +232,13 @@ class TestAcceptPolicies:
         assert decision.accepted[:10].all()
         assert not decision.accepted[10:].any()
 
+    def test_capacity_shorter_than_target_space_rejected(self, rng):
+        # Checked by size alone, whichever targets the round drew.
+        state = RoundState(10, 4)
+        batch = state.sample_contacts(targets=np.zeros(10, dtype=np.int64))
+        with pytest.raises(ValueError, match="4 targets"):
+            state.group_and_accept(batch, np.full(3, 5), rng)
+
     def test_unknown_policy(self, rng):
         state = RoundState(10, 4)
         batch = state.sample_contacts(rng)
@@ -232,7 +251,8 @@ class TestCommitAndRevoke:
         state = RoundState(100, 4)
         batch = state.sample_contacts(rng)
         decision = state.group_and_accept(batch, np.full(4, 10), rng)
-        out = state.commit_and_revoke(batch, decision, threshold=10)
+        state.commit_and_revoke(batch, decision, threshold=10)
+        out = state.metrics.rounds[-1]
         assert out.commits == decision.accepts_sent
         assert state.loads.sum() == out.commits
         assert state.active_count == 100 - out.commits
@@ -244,18 +264,25 @@ class TestCommitAndRevoke:
         assert row.threshold == 10.0
 
     def test_fanout_first_accept_resolution(self, rng):
-        state = RoundState(200, 8)
+        w = rng.random(200)
+        state = RoundState(200, 8, weights=w)
         batch = state.sample_contacts(rng, d=4)
         decision = state.group_and_accept(batch, np.full(8, 100), rng)
-        out = state.commit_and_revoke(batch, decision)
+        state.commit_and_revoke(batch, decision)
+        out = state.metrics.rounds[-1]
         # every ball had 4 chances at ample capacity: all commit
         assert out.commits == 200
         assert state.active_count == 0
-        # each committed ball lands on its first accepted request
+        # each committed ball lands on its first accepted request; the
+        # weighted loads sum each ball's weight where it landed, in ball
+        # order, exactly as bincount does
         first = batch.choices.reshape(200, 4)[
             np.arange(200), decision.accepted.reshape(200, 4).argmax(axis=1)
         ]
-        assert np.array_equal(out.committed_bins, first)
+        assert np.array_equal(state.loads, np.bincount(first, minlength=8))
+        assert np.array_equal(
+            state.weighted_loads, np.bincount(first, weights=w, minlength=8)
+        )
         assert state.total_messages == 800 + decision.accepts_sent
 
     def test_ball_conservation_many_rounds(self, rng):
@@ -283,7 +310,8 @@ class TestCommitAndRevoke:
         state = RoundState(10**8, 32, granularity="aggregate")
         batch = state.sample_contacts(rng)
         decision = state.group_and_accept(batch, np.full(32, 10**6))
-        out = state.commit_and_revoke(batch, decision)
+        state.commit_and_revoke(batch, decision)
+        out = state.metrics.rounds[-1]
         assert state.loads.sum() == out.commits == 32 * 10**6
         assert state.active_count == 10**8 - out.commits
 
@@ -303,14 +331,16 @@ class TestCommitAndRevoke:
         state = RoundState(100, 8)
         batch = state.sample_contacts(rng, d=2)
         decision = state.group_and_accept(batch, np.full(8, 3), rng)
-        out = state.commit_and_revoke(batch, decision, count_commits=True)
+        state.commit_and_revoke(batch, decision, count_commits=True)
+        out = state.metrics.rounds[-1]
         assert state.total_messages == 200 + decision.accepts_sent + out.commits
 
     def test_counter_records_requests_and_accepts(self, rng):
         state = RoundState(100, 4, track_messages=True)
         batch = state.sample_contacts(rng)
         decision = state.group_and_accept(batch, np.full(4, 10), rng)
-        out = state.commit_and_revoke(batch, decision)
+        state.commit_and_revoke(batch, decision)
+        out = state.metrics.rounds[-1]
         assert state.counter.ball_sent.sum() == 100
         assert state.counter.ball_received.sum() == out.commits
         assert state.counter.bin_received.sum() == 100
@@ -321,7 +351,8 @@ class TestCommitAndRevoke:
         state = RoundState(0, 4)
         batch = state.sample_contacts(rng)
         decision = state.group_and_accept(batch, np.full(4, 2), rng)
-        out = state.commit_and_revoke(batch, decision)
+        state.commit_and_revoke(batch, decision)
+        out = state.metrics.rounds[-1]
         assert out.commits == 0 and out.requests_sent == 0
         assert state.rounds == 1
 
@@ -348,7 +379,8 @@ class TestInitialLoads:
         state = RoundState(20, 4, initial_loads=initial)
         batch = state.sample_contacts(rng)
         decision = state.group_and_accept(batch, np.full(4, 3), rng)
-        out = state.commit_and_revoke(batch, decision)
+        state.commit_and_revoke(batch, decision)
+        out = state.metrics.rounds[-1]
         assert state.placed_loads.sum() == out.commits
         assert np.array_equal(state.loads, initial + state.placed_loads)
         assert state.placed_loads.min() >= 0

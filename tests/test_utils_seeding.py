@@ -94,6 +94,50 @@ class TestRngFactory:
         with pytest.raises(TypeError):
             f.stream(3.14)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            0,
+            7,
+            2**40 + 1,
+            np.random.SeedSequence(5).spawn(3)[2],
+            np.random.SeedSequence(5).spawn(2)[1].spawn(2)[0],
+            None,
+            [1, 2**40, 0],
+        ],
+        ids=["zero", "int", "wide-int", "spawned", "spawned-twice", "os",
+             "list"],
+    )
+    def test_stream_matches_list_built_seed_sequence(self, seed):
+        # Streams are seeded from 32-bit words, not from a Python list of
+        # ints; the pool, and so every draw, must be the list's.
+        f = RngFactory(seed)
+        keys = [(), ("threshold", "choices"), ("dynamic", "settle", "accept"),
+                ("ball", 12), ("x", 2**32), ("x", 2**40 + 7),
+                (np.int64(3), "é")]
+        for key in keys:
+            material = list(f.root_entropy)
+            for part in key:
+                if isinstance(part, str):
+                    material.extend(part.encode("utf-8"))
+                else:
+                    material += [int(part) & 0xFFFFFFFF, int(part) >> 32]
+            expected = np.random.default_rng(np.random.SeedSequence(material))
+            assert np.array_equal(
+                f.stream(*key).integers(0, 2**63, size=8),
+                expected.integers(0, 2**63, size=8),
+            ), key
+
+    def test_array_entropy_roots_a_factory(self):
+        # Stream seed sequences hold their words as a uint32 array, and
+        # a factory rooted at such a sequence reports and replays them.
+        seq = np.random.SeedSequence(np.array([1, 2**31], dtype=np.uint32))
+        assert RngFactory(seq).root_entropy == (1, 2**31)
+        seq = RngFactory(3).stream("x", 2**40).bit_generator.seed_seq
+        f = RngFactory(seq)
+        assert f.root_entropy == tuple(int(w) for w in seq.entropy)
+        assert f.stream("y").random() == RngFactory(seq).stream("y").random()
+
     def test_generator_seed_frozen(self):
         gen = np.random.default_rng(0)
         f1 = RngFactory(gen)
