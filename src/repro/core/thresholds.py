@@ -139,9 +139,19 @@ class FixedSchedule(ThresholdSchedule):
         if slack < 0:
             raise ValueError(f"slack must be >= 0, got {slack}")
         self.slack = slack
+        self._raw = math.ceil(self.m / self.n) + slack
 
     def raw_threshold(self, round_index: int) -> float:
-        return math.ceil(self.m / self.n) + self.slack
+        return self._raw
+
+    def threshold(self, round_index: int) -> int:
+        # A constant raw threshold >= 1 is its own prefix maximum.
+        # Negative rounds, and subclasses that vary it, take the walk.
+        if round_index < 0 or (
+            type(self).raw_threshold is not FixedSchedule.raw_threshold
+        ):
+            return super().threshold(round_index)
+        return math.floor(self._raw)
 
     def estimate(self, round_index: int) -> float:
         # No estimate recursion; the schedule is constant.  Report the

@@ -22,15 +22,14 @@ be swapped wholesale:
     cells, ``K`` a power of two with ``n * K <= c / 4``, and a per-bin
     running count find each bin's boundary bucket; requests below it
     are accepted, requests above it rejected, and only the boundary
-    buckets' members (4–8 per bin) are ranked — ``O(m + n K + b log
+    buckets' members (4–8 per bin) are selected — ``O(m + n K + b log
     b)`` for ``b`` boundary requests.  Otherwise the whole contended
-    subset is ranked — ``O(m + n + c log c)``.  Ranking is one
-    ``argsort`` of a packed ``(bin << 32) | mark32`` integer key, with
-    the rare 32-bit mark collisions repaired by an exact tie-run
-    re-sort.  Commit resolution exploits the ball-major request layout
-    with a segmented ``np.minimum.reduceat`` instead of a second
-    lexsort, and integer scatters use ``np.bincount`` when dense.  The
-    reference is ``O(m log m)`` always.
+    subset is selected — ``O(m + n + c log c)``, by one sort of key
+    values and one cutoff key per bin.  Commit resolution exploits the
+    ball-major request layout with a segmented ``np.minimum.reduceat``
+    instead of a second lexsort, and integer scatters use
+    ``np.bincount`` when dense.  The reference is ``O(m log m)``
+    always.
 
 The contract, enforced by the backend-equivalence test suite and
 in-run by ``benchmarks/run_benchmarks.py``: both backends consume the
@@ -216,6 +215,42 @@ def _accept_in_order(
     return mask
 
 
+def _cutoff_accept(bins, priorities, take, counts, listed=None):
+    """Boolean mask over ``bins``: each bin ``b`` accepts its
+    ``take[b]`` entries with the smallest priorities, ties by index (the
+    order of ``np.lexsort((priorities, bins))``), by one value sort.
+
+    ``counts`` holds the entry counts of the bins in ``listed``, which
+    names every bin of ``bins`` in increasing order (``None``: every
+    bin); ``0 <= take <= count``; priorities lie in ``[0, 1)``.  The key
+    ``2 * bin + priority`` is monotone in (bin, priority), as rounding
+    is monotone, and keeps bin ``b`` in ``[2b, 2b + 1]``: so each bin's
+    cutoff is its sorted key at ``start + take - 1``, and ``key <=
+    cutoff`` is exact unless the bin's next key equals the cutoff.
+    Only those *split* bins are ranked, by the reference's lexsort.
+    """
+    key = bins * 2.0 + priorities
+    ordered = np.sort(key)
+    bin_take = take if listed is None else take[listed]
+    pos = np.cumsum(counts) - counts + bin_take - 1
+    # A bin that takes nothing cuts below every key.
+    cut = np.where(bin_take > 0, ordered[pos], -1.0)
+    split = np.flatnonzero(bin_take < counts)
+    split = split[ordered[pos[split] + 1] == cut[split]]
+    if listed is not None:
+        bin_cut = np.empty(take.size)
+        bin_cut[listed] = cut
+        cut, split = bin_cut, listed[split]
+    mask = key <= cut[bins]
+    if split.size:
+        rows = np.flatnonzero(np.isin(bins, split))
+        row_bins = bins[rows]
+        mask[rows] = _accept_in_order(
+            row_bins, np.lexsort((priorities[rows], row_bins)), take
+        )
+    return mask
+
+
 class ReferenceBackend(KernelBackend):
     """The historical lexsort/argsort/add.at kernels, verbatim.
 
@@ -247,15 +282,11 @@ class ReferenceBackend(KernelBackend):
         np.add.at(target, indices, 1)
 
 
-#: ``2**32`` as a float multiplier, and the packed-key layout constants.
-_MARK_SCALE = 4294967296.0
-_MARK_MAX = np.uint64(4294967295)
-_BIN_SHIFT = np.uint64(32)
-#: Bin spaces at or beyond ``2**32`` cannot share a uint64 key with a
-#: 32-bit mark; the fused path falls back to the reference sort there.
-_MAX_PACKED_BINS = 1 << 32
+#: Bin spaces at or beyond ``2**32`` take the reference sort, the exact
+#: specification; no caller groups over spaces that large.
+_MAX_FUSED_BINS = 1 << 32
 #: Bucket selection sizes its histogram for about this many contended
-#: requests per (bin, bucket) cell, and ranks the whole contended
+#: requests per (bin, bucket) cell, and selects the whole contended
 #: subset instead when fewer than ``_MIN_BUCKETS`` buckets would fit.
 _BUCKET_CELL = 4
 _MIN_BUCKETS = 8
@@ -264,11 +295,12 @@ _MIN_BUCKETS = 8
 class FusedBackend(ReferenceBackend):
     """Counting-sort grouping, segmented commit, bincount scatters.
 
-    Grouping ranks only what capacity leaves undecided: with many
+    Grouping selects only what capacity leaves undecided: with many
     contended requests per bin, exact bucket selection
-    (:meth:`_bucketed_accept`) ranks just each bin's boundary bucket,
-    ``O(m + n K + b log b)``; with few, the packed-key argsort ranks
-    the contended subset, ``O(m + n + c log c)``.
+    (:meth:`_bucketed_accept`) leaves just each bin's boundary bucket,
+    ``O(m + n K + b log b)``; with few, cutoff selection
+    (:func:`_cutoff_accept`) takes the contended requests,
+    ``O(m + n + c log c)``.
 
     Inherits the reference implementations as its exact fallback for
     inputs outside the fast path's preconditions (priorities outside
@@ -283,7 +315,7 @@ class FusedBackend(ReferenceBackend):
         self, choices, capacity, priorities, return_counts=False
     ):
         n = capacity.size
-        if n >= _MAX_PACKED_BINS:
+        if n >= _MAX_FUSED_BINS:
             return super().grouped_accept_with_priorities(
                 choices, capacity, priorities, return_counts
             )
@@ -292,58 +324,58 @@ class FusedBackend(ReferenceBackend):
         return (mask, counts) if return_counts else mask
 
     def _counted_accept(self, choices, capacity, priorities, counts):
-        """The accept mask, given the per-bin request ``counts``."""
+        """The accept mask, given the per-bin request ``counts``: full
+        bins accept every request, zero-capacity bins none, and the
+        ``c`` requests to contended bins take bucket selection when they
+        fill enough buckets, else cutoff selection: over every request,
+        which gathers nothing, when ``c`` is at least half the round,
+        or over the contended requests alone."""
         n = capacity.size
-        # Bins whose request count fits capacity accept every request;
-        # zero-capacity bins reject every request.  Only the contended
-        # remainder (0 < capacity < count) needs within-bin selection.
         full = counts <= capacity
         contended = ~full & (capacity > 0)
-        if choices.size >= _BUCKET_CELL * _MIN_BUCKETS * n:
-            # Only rounds this large can have enough contended requests
-            # to fill the buckets.  Bucket selection indexes every
-            # request by its priority, so it needs all of them in
-            # [0, 1); other inputs take the path below.
-            cells = int(counts[contended].sum()) // (_BUCKET_CELL * n)
-            if (
-                cells >= _MIN_BUCKETS
-                and priorities.min() >= 0.0
-                and priorities.max() < 1.0
-            ):
-                return self._bucketed_accept(
-                    choices, priorities, capacity, contended,
-                    1 << (cells.bit_length() - 1),
-                )
-        mask = full[choices]
-        sel = contended[choices]
-        if not sel.any():
-            return mask
-        sub_choices = choices[sel]
-        sub_prio = priorities[sel]
-        if not (sub_prio.min() >= 0.0 and sub_prio.max() < 1.0):
-            # Arbitrary float priorities (never produced by the RNG
-            # draws, but this is a public primitive): the 32-bit mark
-            # embedding only covers [0, 1).
+        listed = np.flatnonzero(contended)
+        if not listed.size:
+            return full[choices]
+        if not (priorities.min() >= 0.0 and priorities.max() < 1.0):
+            # Buckets and cutoff keys order [0, 1) only; other floats
+            # (never drawn, but this is a public primitive) cannot.
             return super().grouped_accept_with_priorities(
                 choices, capacity, priorities
             )
-        order = self._packed_bin_priority_order(sub_choices, sub_prio)
-        mask[sel] = _accept_in_order(sub_choices, order, capacity)
+        listed_counts = counts[listed]
+        c = int(listed_counts.sum())
+        cells = c // (_BUCKET_CELL * n)
+        if cells >= _MIN_BUCKETS:
+            return self._bucketed_accept(
+                choices, priorities, capacity, listed,
+                1 << (cells.bit_length() - 1),
+            )
+        if 2 * c >= choices.size:
+            # Full bins cut at their last key, zero-capacity ones below.
+            return _cutoff_accept(
+                choices, priorities, np.minimum(counts, capacity), counts
+            )
+        sel = contended[choices]
+        mask = full[choices]
+        mask[sel] = _cutoff_accept(
+            choices[sel], priorities[sel], capacity, listed_counts, listed
+        )
         return mask
 
-    def _bucketed_accept(self, choices, priorities, capacity, contended,
+    def _bucketed_accept(self, choices, priorities, capacity, listed,
                          buckets):
         """The accept mask, found without sorting the contended bins.
 
         ``floor(priority * buckets)`` is exact and monotone for
         priorities in ``[0, 1)`` and a power-of-two ``buckets``.  One
         histogram over ``(bin, bucket)`` cells and a per-bin running
-        count locate each contended bin's *boundary bucket*, the first
-        whose running count reaches capacity: requests below it are
-        accepted, requests above it rejected, and only the boundary
-        buckets' members are ranked, for the capacity the lower buckets
-        left.  Keys stay below ``n * buckets <= c / _BUCKET_CELL``
-        (``c`` contended requests), so int32 choices cannot overflow.
+        count locate each contended bin's (``listed``) *boundary
+        bucket*, the first whose running count reaches capacity:
+        requests below it are accepted, requests above it rejected, and
+        only the boundary buckets' members go through cutoff selection,
+        for the capacity the lower buckets ``left``.  Keys stay below
+        ``n * buckets <= c / _BUCKET_CELL`` (``c`` contended requests),
+        so int32 choices cannot overflow.
         """
         n = capacity.size
         key_dtype = np.promote_types(choices.dtype, np.int32)
@@ -355,57 +387,17 @@ class FusedBackend(ReferenceBackend):
         short = hist.cumsum(axis=1) < capacity[:, None]
         # Full bins accept every bucket and zero-capacity bins none, so
         # neither has a boundary bucket to rank.
-        boundary = np.where(
-            contended, short.sum(axis=1), np.where(capacity > 0, buckets, -1)
-        ).astype(key_dtype)
+        boundary = np.where(capacity > 0, buckets, -1).astype(key_dtype)
+        boundary[listed] = short[listed].sum(axis=1)
         left = capacity - (hist * short).sum(axis=1)
         bin_boundary = boundary[choices]
         accepted = bucket < bin_boundary
         tied = np.flatnonzero(bucket == bin_boundary)
-        tied_bins = choices[tied]
-        order = self._packed_bin_priority_order(tied_bins, priorities[tied])
-        accepted[tied] = _accept_in_order(tied_bins, order, left)
-        return accepted
-
-    @staticmethod
-    def _packed_bin_priority_order(
-        bins: np.ndarray, priorities: np.ndarray
-    ) -> np.ndarray:
-        """Permutation sorting by (bin, priority, original index) —
-        the exact order ``np.lexsort((priorities, bins))`` produces —
-        via one argsort of a packed ``(bin << 32) | mark32`` key.
-
-        ``mark32 = floor(priority * 2**32)`` is monotone in the
-        priority, so the packed order can differ from the true order
-        only inside runs of equal packed keys; those runs are re-sorted
-        by the full-precision priority with an explicit original-index
-        tiebreak, restoring lexsort's order exactly.  (The ``minimum``
-        clamp covers the one float where ``p * 2**32`` rounds up to
-        ``2**32``: ``p = 1 - 2**-53``.)
-        """
-        mark32 = np.minimum(
-            (priorities * _MARK_SCALE).astype(np.uint64), _MARK_MAX
+        accepted[tied] = _cutoff_accept(
+            choices[tied], priorities[tied], left,
+            hist[listed, boundary[listed]], listed,
         )
-        packed = (bins.astype(np.uint64) << _BIN_SHIFT) | mark32
-        order = np.argsort(packed)
-        sorted_packed = packed[order]
-        ties = sorted_packed[1:] == sorted_packed[:-1]
-        if ties.any():
-            in_run = np.zeros(order.size, dtype=bool)
-            in_run[1:] = ties
-            in_run[:-1] |= ties
-            idx = np.flatnonzero(in_run)
-            members = order[idx]
-            # Runs are disjoint and appear in increasing packed-key
-            # order, so one global lexsort over the tied members —
-            # packed key first, then priority, then original index —
-            # lands each member back inside its own run, correctly
-            # ordered.
-            fix = np.lexsort(
-                (members, priorities[members], packed[members])
-            )
-            order[idx] = members[fix]
-        return order
+        return accepted
 
     def _commit_winners(self, acc_ball, acc_mark):
         if not np.all(acc_ball[1:] >= acc_ball[:-1]):

@@ -8,12 +8,13 @@ kernels.  These tests are that promise, at three levels:
 
 * raw primitives (grouping, priority commit, scatters), pinned and
   hypothesis-randomized over instance size, capacity profile, and
-  priority skew — including the adversarial edges the packed-key trick
-  must survive (priorities at/above 1.0, the ``1 - 2**-53`` float whose
-  ``* 2**32`` rounds up, duplicated priorities, unsorted requester
-  positions, zero capacity), and the heavily loaded inputs that reach
-  exact bucket selection (whole bins in one bucket, priorities on
-  bucket edges, capacity at and just below the count, int32 choices);
+  priority skew — including the adversarial edges the cutoff keys
+  must survive (priorities at/above 1.0, the largest float below 1,
+  duplicated priorities that split a bin at its cutoff, unsorted
+  requester positions, zero capacity), sparse contention over large
+  bin spaces, and the heavily loaded inputs that reach exact bucket
+  selection (whole bins in one bucket, priorities on bucket edges,
+  capacity at and just below the count, int32 choices);
 * end-to-end runs: perball and aggregate granularities, trial-batched
   replication, residual ``initial_loads``, zipf+weighted workloads,
   dynamic churn, per-ball message counters;
@@ -33,6 +34,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.fastpath.backend as backend_module
 from repro.fastpath.backend import (
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
@@ -72,7 +74,7 @@ def _instance(seed, k, n, cap_hi, skew, quantize):
     priorities = rng.random(k)
     if quantize:
         # Coarse quantization mass-produces exact duplicates — the
-        # packed-key tie-repair path must restore lexsort order.
+        # split repair must restore lexsort order.
         priorities = np.round(priorities, 2)
     return choices.astype(np.int64), capacity.astype(np.int64), priorities
 
@@ -141,8 +143,8 @@ class TestGroupingPrimitive:
         )
 
     def test_priorities_at_one_take_the_fallback(self):
-        # p = 1.0 would overflow the 32-bit mark into the bin field;
-        # the fused path must detect it and still match reference.
+        # Cutoff keys order priorities in [0, 1) only: p = 1.0 must
+        # take the exact fallback and still match reference.
         choices = np.array([0, 0, 0, 1, 1], dtype=np.int64)
         capacity = np.array([1, 1], dtype=np.int64)
         priorities = np.array([1.0, 0.5, 0.0, 1.0, 1.0])
@@ -155,9 +157,8 @@ class TestGroupingPrimitive:
         np.testing.assert_array_equal(ref, fus)
 
     def test_rounds_up_to_2_32_edge_float(self):
-        # 1 - 2**-53 is the one float in [0, 1) whose * 2**32 rounds
-        # UP to exactly 2**32 under round-to-even; the mark clamp must
-        # keep it inside 32 bits.
+        # 1 - 2**-53, the largest float in [0, 1), must sort last in
+        # its bin, its two copies tied.
         edge = 1.0 - 2.0**-53
         choices = np.zeros(4, dtype=np.int64)
         capacity = np.array([2], dtype=np.int64)
@@ -387,19 +388,191 @@ class TestBucketedSelection:
         # bucket selection saves on heavy's first round, where each
         # of the m balls sends one request.
         ranked = []
-        original = FusedBackend._packed_bin_priority_order
+        original = backend_module._cutoff_accept
 
-        def spy(bins, priorities):
+        def spy(bins, *args):
             ranked.append(bins.size)
-            return original(bins, priorities)
+            return original(bins, *args)
 
-        monkeypatch.setattr(
-            FusedBackend, "_packed_bin_priority_order", staticmethod(spy)
-        )
+        monkeypatch.setattr(backend_module, "_cutoff_accept", spy)
         m = 10**5
         repro.allocate("heavy", m, 256, mode="perball", seed=0,
                        backend="fused")
         assert ranked and ranked[0] < 0.05 * m
+
+
+@pytest.fixture
+def cutoff_calls(monkeypatch):
+    """``(entries, bin space, listed bins or None)`` of every cutoff
+    selection the fused backend runs."""
+    calls = []
+    original = backend_module._cutoff_accept
+
+    def spy(bins, priorities, take, counts, listed=None):
+        calls.append((bins.size, take.size, listed))
+        return original(bins, priorities, take, counts, listed)
+
+    monkeypatch.setattr(backend_module, "_cutoff_accept", spy)
+    return calls
+
+
+@pytest.fixture
+def repairs(monkeypatch):
+    """The bins handed to every in-order ranking (the reference
+    grouping's and the split repair's)."""
+    calls = []
+    original = backend_module._accept_in_order
+
+    def spy(bins, order, capacity):
+        calls.append(bins.copy())
+        return original(bins, order, capacity)
+
+    monkeypatch.setattr(backend_module, "_accept_in_order", spy)
+    return calls
+
+
+def _sub_bucket_instance(seed, k, n, sparse, zero_frac, contended_frac,
+                         prio_kind, narrow):
+    """A grouping below the bucket cut-over (``k < 32 n``): capacities
+    mix zero, full and contended bins; ``sparse`` aims every request at
+    one bin in 25, the shape of a trial-batched composite space."""
+    rng = np.random.default_rng(seed)
+    if sparse:
+        hot = rng.choice(n, size=max(1, n // 25), replace=False)
+        choices = hot[rng.integers(0, hot.size, size=k)]
+    else:
+        choices = rng.integers(0, n, size=k)
+    counts = np.bincount(choices, minlength=n)
+    capacity = counts.copy()
+    contended = (rng.random(n) < contended_frac) & (counts >= 2)
+    capacity[contended] = rng.integers(1, np.maximum(counts, 2))[contended]
+    capacity[rng.random(n) < zero_frac] = 0
+    priorities = rng.random(k)
+    if prio_kind == "quantized":
+        priorities = np.floor(priorities * 100) / 100
+    elif prio_kind == "equal":
+        priorities = np.full(k, 0.625)
+    elif prio_kind == "edges":
+        # The smallest and the largest priorities the key must order,
+        # with duplicate mass at both.
+        edge = rng.random(k)
+        priorities[edge < 0.3] = -0.0
+        priorities[edge > 0.7] = np.nextafter(1.0, 0.0)
+    if narrow:
+        choices = choices.astype(np.int32)
+        capacity = capacity.astype(np.int32)
+    return choices, capacity, priorities
+
+
+class TestCutoffSelection:
+    """Cutoff selection (contended bins below the bucket cut-over)
+    equals the reference lexsort bitwise: one value sort, one cutoff
+    key per bin, and the exact repair for split bins."""
+
+    @settings(
+        deadline=None,
+        max_examples=40,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    @given(
+        seed=st.integers(0, 2**31),
+        k=st.integers(1, 20_000),
+        n=st.integers(1, 40_000),
+        sparse=st.booleans(),
+        zero_frac=st.sampled_from([0.0, 0.05, 0.3]),
+        contended_frac=st.sampled_from([0.02, 0.3, 1.0]),
+        prio_kind=st.sampled_from(["random", "quantized", "equal", "edges"]),
+        narrow=st.booleans(),
+    )
+    def test_sweep_matches_reference(
+        self, cutoff_calls, bucket_calls, seed, k, n, sparse, zero_frac,
+        contended_frac, prio_kind, narrow,
+    ):
+        k = min(k, 32 * n - 1)
+        choices, capacity, priorities = _sub_bucket_instance(
+            seed, k, n, sparse, zero_frac, contended_frac, prio_kind, narrow
+        )
+        ref = REFERENCE.grouped_accept_with_priorities(
+            choices, capacity, priorities
+        )
+        cutoff_calls.clear()
+        fus = FUSED.grouped_accept_with_priorities(
+            choices, capacity, priorities
+        )
+        np.testing.assert_array_equal(ref, fus)
+        assert bucket_calls == []
+        counts = np.bincount(choices, minlength=n)
+        contended = (counts > capacity) & (capacity > 0)
+        assert len(cutoff_calls) == int(contended.any())
+
+    @pytest.mark.parametrize("filler", [0, 40])
+    def test_split_bin_is_repaired(self, repairs, filler):
+        # Bin 1 takes 2 of priorities [0.5, 0.25, 0.5, 0.75]: its cutoff
+        # key 2.5 is shared by the next key, so ``key <= cutoff`` alone
+        # would accept three.  Bin 0 is contended but not split.  The
+        # ``filler`` requests to a full bin 2 move the contended share
+        # below half the round, onto the gathered subset.
+        choices = np.array([1, 1, 0, 1, 0, 1, 0] + [2] * filler)
+        priorities = np.concatenate((
+            [0.5, 0.25, 0.9, 0.5, 0.1, 0.75, 0.3],
+            np.linspace(0.0, 0.99, filler),
+        ))
+        capacity = np.array([2, 2, filler])
+        ref = REFERENCE.grouped_accept_with_priorities(
+            choices, capacity, priorities
+        )
+        repairs.clear()
+        fus = FUSED.grouped_accept_with_priorities(
+            choices, capacity, priorities
+        )
+        np.testing.assert_array_equal(ref, fus)
+        np.testing.assert_array_equal(
+            fus[:7], [True, True, False, False, True, False, True]
+        )
+        assert [b.tolist() for b in repairs] == [[1, 1, 1, 1]]
+
+    def test_cutoff_is_the_last_accepted_key(self, repairs):
+        # Distinct priorities: no bin is split and nothing is ranked.
+        rng = np.random.default_rng(31)
+        n, k = 64, 1500
+        choices = rng.integers(0, n, size=k)
+        capacity = _contended_capacity(rng, choices, n)
+        priorities = rng.permutation(k) / k
+        ref = REFERENCE.grouped_accept_with_priorities(
+            choices, capacity, priorities
+        )
+        repairs.clear()
+        fus = FUSED.grouped_accept_with_priorities(
+            choices, capacity, priorities
+        )
+        np.testing.assert_array_equal(ref, fus)
+        assert repairs == []
+        np.testing.assert_array_equal(
+            np.bincount(choices[fus], minlength=n),
+            np.minimum(np.bincount(choices, minlength=n), capacity),
+        )
+
+    def test_trial_batched_light_shape(self, cutoff_calls):
+        # Trial-batched A_light groups over one composite bin space for
+        # all trials, in which a few percent of the bins are contended.
+        kwargs = dict(trials=64, seed=5)
+        ref = repro.replicate("heavy", 10**5, 256, backend="reference",
+                              **kwargs)
+        cutoff_calls.clear()
+        fus = repro.replicate("heavy", 10**5, 256, backend="fused",
+                              **kwargs)
+        np.testing.assert_array_equal(ref.loads, fus.loads)
+        np.testing.assert_array_equal(ref.rounds, fus.rounds)
+        np.testing.assert_array_equal(ref.total_messages, fus.total_messages)
+        sparse = [
+            space for _, space, listed in cutoff_calls
+            if space >= 64 * 256 and listed is not None
+            and listed.size <= 0.1 * space
+        ]
+        assert sparse, "no sparse grouping over a composite space"
 
 
 class TestCommitPrimitive:

@@ -9,6 +9,7 @@ from repro.core.thresholds import (
     ExponentSchedule,
     FixedSchedule,
     PaperSchedule,
+    ThresholdSchedule,
 )
 
 
@@ -99,6 +100,39 @@ class TestFixedSchedule:
     def test_negative_slack(self):
         with pytest.raises(ValueError):
             FixedSchedule(100, 10, slack=-1)
+
+
+class TestFixedScheduleConstant:
+    """``FixedSchedule.threshold`` returns its constant without walking
+    the prefix maximum, and agrees with the walk everywhere."""
+
+    TRIPLES = [(1000, 10, 2), (1001, 10, 0), (10**5, 256, 1)]
+
+    @pytest.mark.parametrize("m, n, slack", TRIPLES)
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+    def test_equals_the_prefix_walk(self, m, n, slack, order):
+        fast = FixedSchedule(m, n, slack=slack)
+        walked = FixedSchedule(m, n, slack=slack)
+        indices = list(range(5001))
+        if order == "decreasing":
+            indices.reverse()
+        elif order == "shuffled":
+            random.Random(11).shuffle(indices)
+        for i in indices:
+            assert fast.threshold(i) == ThresholdSchedule.threshold(walked, i)
+        assert fast._prefix_max == [], "the constant path walked"
+
+    @pytest.mark.parametrize("m, n, slack", TRIPLES)
+    def test_capacity_unchanged(self, m, n, slack):
+        s = FixedSchedule(m, n, slack=slack)
+        walked = FixedSchedule(m, n, slack=slack)
+        base = [ThresholdSchedule.threshold(walked, i) for i in range(50)]
+        want = [base[0]] + [b - a for a, b in zip(base, base[1:])]
+        assert [s.capacity(i) for i in range(50)] == want
+
+    def test_negative_round_raises(self):
+        with pytest.raises(ValueError):
+            FixedSchedule(1000, 10).threshold(-1)
 
 
 class TestExponentSchedule:
