@@ -123,7 +123,7 @@ from repro.service import (
     ServiceReport,
     simulate_service,
 )
-from repro.fastpath.backend import available_backends, use_backend
+from repro.fastpath.backend import use_backend
 from repro.telemetry import Telemetry, current_telemetry, use_telemetry
 from repro.workloads import (
     TimeVaryingWorkload,
@@ -173,7 +173,6 @@ __all__ = [
     "allocate",
     "allocate_many",
     "allocator_names",
-    "available_backends",
     "current_telemetry",
     "get_spec",
     "list_allocators",

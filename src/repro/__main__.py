@@ -42,18 +42,9 @@ def _positive_int(text: str) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    from repro.fastpath.backend import available_backends
-
     parser.add_argument("--m", type=int, required=True, help="number of balls")
     parser.add_argument("--n", type=int, required=True, help="number of bins")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help="kernel backend (bitwise-identical; default: "
-        "REPRO_KERNEL_BACKEND env or 'fused')",
-    )
     parser.add_argument(
         "--telemetry",
         type=str,
@@ -510,7 +501,6 @@ def _run_allocator(args: argparse.Namespace):
         seed=args.seed,
         mode=getattr(args, "mode", "auto"),
         workload=getattr(args, "workload", None),
-        backend=args.backend,
         **options,
     )
 
@@ -536,7 +526,6 @@ def _compare(args: argparse.Namespace) -> None:
             args.m,
             args.n,
             seed=args.seed,
-            backend=args.backend,
             **options,
         )
         elapsed = time.perf_counter() - start
@@ -561,7 +550,6 @@ def _replicate(args: argparse.Namespace) -> None:
         workload=args.workload,
         trial_batched=False if args.sequential else None,
         workers=args.workers,
-        backend=args.backend,
     )
     elapsed = time.perf_counter() - start
     print(rep.describe())
@@ -599,7 +587,6 @@ def _dynamic(args: argparse.Namespace) -> None:
         time_workload=args.time_workload,
         fault_model=fault_model,
         mode=args.mode,
-        backend=args.backend,
     )
     elapsed = time.perf_counter() - start
     print(res.describe())
@@ -651,7 +638,6 @@ def _serve(args: argparse.Namespace) -> None:
         policy=policy,
         workload=args.workload,
         fault_model=fault_model,
-        backend=args.backend,
     )
     print(report.describe())
     print(f"wall time     : {report.wall_seconds:.2f}s")
@@ -690,7 +676,6 @@ def _bench_replication(args: argparse.Namespace) -> None:
             algorithms=algorithms,
             include_sequential=not args.skip_sequential,
             workload=args.workload,
-            backend=args.backend,
         )
     except ValueError as exc:
         raise SystemExit(f"python -m repro bench: error: {exc}")
@@ -725,7 +710,6 @@ def _bench(args: argparse.Namespace) -> None:
             include_sequential=args.include_sequential,
             kernel_only=args.kernel_only,
             workload=args.workload,
-            backend=args.backend,
         )
     except ValueError as exc:  # e.g. unknown --algorithms entry
         raise SystemExit(f"python -m repro bench: error: {exc}")

@@ -65,15 +65,15 @@ def spawn_seeds(seed, count: int) -> list[np.random.SeedSequence]:
     return as_seed_sequence(seed).spawn(count)
 
 
-def _run_tasks(tasks: list[tuple], workers: Optional[int]) -> list:
-    if workers is not None and workers > 1 and len(tasks) > 1:
-        from repro.experiments.parallel import allocate_batch
+def _allocate_task(task: tuple):
+    algorithm, m, n, seed, mode, options = task
+    return allocate(algorithm, m, n, seed=seed, mode=mode, **options)
 
-        return allocate_batch(tasks, workers=workers)
-    return [
-        allocate(algorithm, m, n, seed=s, mode=mode, **options)
-        for algorithm, m, n, s, mode, options in tasks
-    ]
+
+def _run_tasks(tasks: list[tuple], workers: Optional[int]) -> list:
+    from repro.experiments.parallel import pool_map
+
+    return pool_map(_allocate_task, tasks, workers)
 
 
 def batched_eligible(
@@ -139,8 +139,7 @@ def _try_batched(
 
     ``workers >= 2`` shards the engine's trial axis across processes
     (:func:`repro.experiments.parallel.replicate_sharded`) — per-trial
-    bitwise-identical to the single-process batch.  A ``backend``
-    option is pinned on either path, shard workers included.
+    bitwise-identical to the single-process batch.
     """
     if trial_batched is False:
         return None
@@ -151,12 +150,10 @@ def _try_batched(
                 f"algorithm {spec.name!r} has no trial-batched engine"
             )
         return None
-    from repro.fastpath.backend import use_backend
     from repro.workloads import as_workload
 
     opts = dict(options)
     wl = as_workload(opts.pop("workload", None))
-    backend = opts.pop("backend", None)
     runner_kwargs = _split_options(spec, opts)
     if not batched_eligible(spec, m, mode, runner_kwargs):
         if trial_batched is True:
@@ -169,11 +166,9 @@ def _try_batched(
         from repro.experiments.parallel import replicate_sharded
 
         return replicate_sharded(
-            spec.name, m, n, children, wl, runner_kwargs,
-            workers=workers, backend=backend,
+            spec.name, m, n, children, wl, runner_kwargs, workers=workers
         )
-    with use_backend(backend):
-        return run_batched(spec, m, n, children, wl, runner_kwargs)
+    return run_batched(spec, m, n, children, wl, runner_kwargs)
 
 
 def allocate_many(
@@ -223,11 +218,12 @@ def allocate_many(
     Notes
     -----
     ``workload=`` (a :class:`repro.workloads.Workload` or spec string)
-    and ``backend=`` (a kernel backend name) pass through ``options``
-    into :func:`~repro.api.dispatch.allocate` per run, and the
-    trial-batched engine honours both (shard workers re-pin the
-    backend); because each run's stream is spawned from the root seed,
-    results are identical for any ``workers`` count, workload or not.
+    passes through ``options`` into
+    :func:`~repro.api.dispatch.allocate` per run, and the trial-batched
+    engine honours it; because each run's stream is spawned from the
+    root seed, results are identical for any ``workers`` count,
+    workload or not.  Worker processes run under the caller's kernel
+    backend (:func:`repro.experiments.parallel.pool_map`).
 
     Returns
     -------

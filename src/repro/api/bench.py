@@ -170,7 +170,6 @@ def benchmark_allocate(
     *,
     workload=None,
     scale_note: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> dict:
     """Time ``allocate(name, m, n, mode=mode)`` once per pinned seed.
 
@@ -187,10 +186,7 @@ def benchmark_allocate(
     times, first = [], None
     for seed in seeds:
         start = time.perf_counter()
-        result = allocate(
-            name, m, n, seed=seed, mode=mode, workload=workload,
-            backend=backend,
-        )
+        result = allocate(name, m, n, seed=seed, mode=mode, workload=workload)
         times.append(time.perf_counter() - start)
         if first is None:
             first = result
@@ -225,7 +221,6 @@ def benchmark_registry(
     include_sequential: bool = False,
     kernel_only: bool = False,
     workload=None,
-    backend: Optional[str] = None,
 ) -> list[dict]:
     """Time every registered allocator at ``(m, n)`` over pinned seeds.
 
@@ -257,9 +252,10 @@ def benchmark_registry(
         non-uniform workload restricts the sweep to workload-capable
         allocators and skips engine modes (which accept only the
         uniform workload).
-    backend:
-        Kernel backend name every timed run executes on (default: the
-        ambient resolution); the resolved name lands in each row.
+
+    Every run executes on the resolved kernel backend
+    (:func:`~repro.fastpath.backend.use_backend`), whose name lands in
+    each row.
     """
     from repro.workloads import as_workload
 
@@ -292,7 +288,7 @@ def benchmark_registry(
             records.append(
                 benchmark_allocate(
                     spec.name, mode, m_run, n_run, seeds, workload=wl,
-                    scale_note=note, backend=backend,
+                    scale_note=note,
                 )
             )
     return records
@@ -360,7 +356,6 @@ def benchmark_replication(
     algorithms: Optional[Iterable[str]] = None,
     include_sequential: bool = True,
     workload=None,
-    backend: Optional[str] = None,
 ) -> list[dict]:
     """Time trial-batched replication against the sequential loop.
 
@@ -385,14 +380,13 @@ def benchmark_replication(
             f"algorithm(s) {', '.join(sorted(lacking))} have no "
             f"trial-batched engine; {capability_note('trial_batched')}"
         )
-    backend_name = resolve_backend(backend).name
+    backend_name = resolve_backend().name
     records = []
     for name in names:
         peak = leg_peak_rss()
         start = time.perf_counter()
         rep = replicate(
-            name, m, n, trials=trials, seed=seed, workload=workload,
-            backend=backend,
+            name, m, n, trials=trials, seed=seed, workload=workload
         )
         batched_seconds = time.perf_counter() - start
         sequential_seconds = speedup = None
@@ -400,7 +394,7 @@ def benchmark_replication(
             start = time.perf_counter()
             allocate_many(
                 name, m, n, repeats=trials, seed=seed, workers=1,
-                trial_batched=False, workload=workload, backend=backend,
+                trial_batched=False, workload=workload,
             )
             sequential_seconds = time.perf_counter() - start
             speedup = _ratio(sequential_seconds, batched_seconds)
@@ -499,10 +493,9 @@ def benchmark_kernels(
     """
     import numpy as np
 
-    from repro.fastpath.backend import get_backend, use_backend
+    from repro.fastpath.backend import BACKENDS, use_backend
 
-    reference = get_backend("reference")
-    fused = get_backend("fused")
+    reference, fused = BACKENDS["reference"], BACKENDS["fused"]
     rng = np.random.default_rng(seed)
     records: list[dict] = []
 
@@ -650,7 +643,7 @@ def benchmark_dynamic(
                 "churn": churn,
                 "seed": 0,
                 "mode": "perball",
-                "backend": resolve_backend(None).name,
+                "backend": resolve_backend().name,
                 **_churn_summary(res),
                 "churn_messages": res.churn_messages,
                 "moved_per_epoch": (

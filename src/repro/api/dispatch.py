@@ -149,7 +149,6 @@ def allocate(
     seed=None,
     mode: Optional[str] = "auto",
     workload=None,
-    backend: Optional[str] = None,
     **options: Any,
 ):
     """Allocate ``m`` balls into ``n`` bins with any registered algorithm.
@@ -185,13 +184,6 @@ def allocate(
         only the uniform one.  The uniform workload — ``None`` or
         ``"uniform"`` — is never forwarded, keeping the default path
         bitwise-identical to the direct ``run_*`` call.
-    backend:
-        Kernel backend name (``"fused"``/``"reference"``, see
-        :mod:`repro.fastpath.backend`) pinned for the whole run;
-        ``None`` keeps the ambient selection (the
-        ``REPRO_KERNEL_BACKEND`` environment variable or the
-        ``"fused"`` default).  Backends are bitwise-identical by
-        contract, so this changes wall clock only.
     options:
         Algorithm-specific keywords, validated against the registered
         signature (e.g. ``d=3`` for ``greedy``, ``crash_prob=0.05``
@@ -203,9 +195,12 @@ def allocate(
     -------
     AllocationResult
         The runner's result; ``extra["api"]`` records the resolved
-        spec name, mode, and kernel backend.
+        spec name, mode, and kernel backend (the
+        :func:`~repro.fastpath.backend.use_backend` pin, else
+        ``REPRO_KERNEL_BACKEND``, else ``"fused"``; bitwise-identical
+        by contract).
     """
-    from repro.fastpath.backend import use_backend
+    from repro.fastpath.backend import resolve_backend
     from repro.telemetry import current_telemetry
 
     spec = get_spec(algorithm)
@@ -216,10 +211,10 @@ def allocate(
         kwargs["mode"] = resolved_mode
     if wl is not None:
         kwargs["workload"] = wl
+    backend = resolve_backend().name
     tele = current_telemetry()
     alloc_start = tele.begin() if tele is not None else 0.0
-    with use_backend(backend) as kernel_backend:
-        result = spec.runner(m, n, seed=seed, **kwargs)
+    result = spec.runner(m, n, seed=seed, **kwargs)
     if tele is not None:
         seconds = tele.complete(
             "allocate",
@@ -234,6 +229,6 @@ def allocate(
         "algorithm": spec.name,
         "mode": resolved_mode,
         "workload": wl.describe() if wl is not None else None,
-        "backend": kernel_backend.name,
+        "backend": backend,
     }
     return result

@@ -278,7 +278,6 @@ def replicate(
     workload=None,
     trial_batched: Optional[bool] = None,
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
     **options: Any,
 ) -> ReplicationResult:
     """Run ``trials`` independent seeded replications of one instance.
@@ -317,13 +316,9 @@ def replicate(
         ``multiprocessing.shared_memory`` block) — per-trial
         bitwise-identical to ``workers=1``, only the wall clock
         changes.  On the sequential path it fans the per-seed loop
-        over a process pool as before.
-    backend:
-        Kernel backend name pinned for every trial — including shard
-        worker processes, which re-pin it explicitly (the ambient
-        :func:`~repro.fastpath.backend.use_backend` context does not
-        cross process boundaries).  ``None`` keeps the ambient
-        selection.  Value-identical either way.
+        over a process pool as before.  Either way every worker runs
+        under the caller's :func:`~repro.fastpath.backend.use_backend`
+        pin.
     options:
         Algorithm-specific keywords, validated against the registered
         spec exactly as in :func:`~repro.api.dispatch.allocate`.
@@ -341,7 +336,7 @@ def replicate(
     results = allocate_many(
         spec.name, m, n, repeats=trials, seed=seed, mode=mode,
         workers=workers, trial_batched=trial_batched, workload=workload,
-        backend=backend, **options,
+        **options,
     )
     api = results[0].extra["api"]
     return ReplicationResult.from_results(

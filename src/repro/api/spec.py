@@ -19,9 +19,7 @@ The registry is what makes the rest of the package uniform:
   spec and dispatches by name;
 * the CLI (``python -m repro``) generates one subcommand per spec,
   with ``--mode`` choices and numeric option flags taken from the
-  spec rather than hand-maintained per algorithm;
-* :mod:`repro.experiments.parallel` resolves algorithm names (and
-  their aliases) through the same table.
+  spec rather than hand-maintained per algorithm.
 
 This module deliberately imports nothing from the algorithm packages:
 they import *it* at definition time, so the registry populates as a

@@ -30,7 +30,6 @@ import numpy as np
 from repro.api.spec import capability_note, get_spec
 from repro.dynamic.faults import FaultState, place_with_loss
 from repro.dynamic.state import ResidentState
-from repro.fastpath.backend import use_backend
 from repro.utils.seeding import RngFactory
 from repro.workloads import Workload, WorkloadError, as_workload
 
@@ -116,7 +115,6 @@ class ChurnStep:
         hot_frac: float = 0.1,
         workload=None,
         fault_model=None,
-        backend: Optional[str] = None,
         attack: bool = False,
     ) -> None:
         self.residents = ResidentState(n, departures, hot_frac=hot_frac)
@@ -148,7 +146,6 @@ class ChurnStep:
             # reach here, so their draws are unchanged.
             self.options.setdefault("drain_settle", True)
         self.n = n
-        self.backend = backend
         self.attack = attack
 
     @property
@@ -157,13 +154,11 @@ class ChurnStep:
         return self.fault.failed_count if self.fault is not None else 0
 
     def place(self, count: int, initial: np.ndarray, seed, workload):
-        """One adapter call on the pinned kernel backend (value-identical
-        across backends; wall clock only)."""
-        with use_backend(self.backend):
-            return self.adapter.runner(
-                count, self.n, initial_loads=initial, seed=seed,
-                workload=workload, **self.options,
-            )
+        """One adapter call: place ``count`` balls against ``initial``."""
+        return self.adapter.runner(
+            count, self.n, initial_loads=initial, seed=seed,
+            workload=workload, **self.options,
+        )
 
     def cohort_workload(self, epoch: int, workload=None):
         """The contact distribution of epoch ``epoch``'s cohort: the

@@ -291,7 +291,6 @@ def run_dynamic(
     workload=None,
     time_workload=None,
     fault_model=None,
-    backend: Optional[str] = None,
     **options: Any,
 ) -> DynamicResult:
     """Run allocation under churn: epochs of departures and arrivals.
@@ -334,10 +333,6 @@ def run_dynamic(
         placements), and placement acks are lost with ghost-slot
         retries.  ``None`` (and the all-zero model, bitwise) keeps the
         benign path untouched.  Incremental rebalancing only.
-    backend:
-        Kernel backend name pinned for every epoch's placement
-        (:mod:`repro.fastpath.backend`); ``None`` keeps the ambient
-        selection.  Value-identical either way.
     options:
         Adapter-specific keywords (e.g. ``mode="perball"`` for the
         kernel-backed adapters, ``collision_factor=`` for stemann),
@@ -365,7 +360,7 @@ def run_dynamic(
     step = ChurnStep(
         algorithm, n, options,
         departures=spec.departures, hot_frac=spec.hot_frac,
-        workload=workload, fault_model=fault_model, backend=backend,
+        workload=workload, fault_model=fault_model,
         attack=spec.arrivals == "hotset_adversary",
     )
     wl = step.workload
@@ -589,9 +584,6 @@ def run_dynamic_many(
         )
         for child in children
     ]
-    if workers is not None and workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    from repro.experiments.parallel import pool_map
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_dynamic_task, tasks))
-    return [_dynamic_task(t) for t in tasks]
+    return pool_map(_dynamic_task, tasks, workers)

@@ -33,9 +33,8 @@ The bin-side resolution primitives themselves (grouping, commit
 resolution, load scatters) are pluggable through
 :mod:`repro.fastpath.backend`: the ``reference`` lexsort kernels or
 the default ``fused`` counting-sort kernels, bitwise-identical by
-contract and selectable per call, per :class:`RoundState`, by
-``use_backend`` context, or by the ``REPRO_KERNEL_BACKEND``
-environment variable.
+contract and selected by the ``use_backend`` context or the
+``REPRO_KERNEL_BACKEND`` environment variable.
 """
 
 from repro.fastpath.backend import (
@@ -44,9 +43,6 @@ from repro.fastpath.backend import (
     FusedBackend,
     KernelBackend,
     ReferenceBackend,
-    available_backends,
-    get_backend,
-    register_backend,
     resolve_backend,
     use_backend,
 )
@@ -80,17 +76,14 @@ __all__ = [
     "KernelBackend",
     "ReferenceBackend",
     "RoundState",
-    "available_backends",
     "fill_choices",
     "grouped_accept",
     "grouped_accept_with_priorities",
-    "get_backend",
     "multinomial_occupancy",
     "multinomial_occupancy_batched",
     "narrow_dtypes",
     "prepare_choices",
     "priority_commit_accept",
-    "register_backend",
     "resolve_backend",
     "sample_choices",
     "sample_uniform_choices",

@@ -42,14 +42,14 @@ order and float addition is not associative.
 
 Selection order (first match wins):
 
-1. an explicit ``backend=`` argument (name or instance),
-2. the ambient :func:`use_backend` context,
-3. the ``REPRO_KERNEL_BACKEND`` environment variable,
-4. the module default, ``"fused"``.
+1. the ambient :func:`use_backend` context, which every process pool
+   re-pins in its workers;
+2. the ``REPRO_KERNEL_BACKEND`` environment variable;
+3. the module default, ``"fused"``.
 
-The seam is also the plug point ROADMAP item (c) asks for: a future
-compiled (numba/C) build registers a third backend here and inherits
-the whole equivalence harness.
+The two backends are the fixed mapping :data:`BACKENDS`; a future
+compiled (numba/C) backend is one more entry there and inherits the
+whole equivalence harness.
 """
 
 from __future__ import annotations
@@ -58,26 +58,23 @@ import contextvars
 import os
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.telemetry import current_telemetry
 
 __all__ = [
+    "BACKENDS",
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "KernelBackend",
     "ReferenceBackend",
     "FusedBackend",
     "ProfilingBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     "resolve_backend",
     "use_backend",
     "scatter_counts",
-    "scatter_weights",
 ]
 
 #: Environment override: set ``REPRO_KERNEL_BACKEND=reference`` to run
@@ -98,7 +95,8 @@ class KernelBackend:
     retain references to their arguments.
     """
 
-    #: Registry key; also what ``--backend`` / the env var match.
+    #: Key in :data:`BACKENDS`; what :func:`use_backend` and the env
+    #: var match.
     name: str = "abstract"
 
     # -- grouping / accept ----------------------------------------------
@@ -452,8 +450,8 @@ class ProfilingBackend(KernelBackend):
     identity tests pin this per backend).  It reports the inner
     backend's ``name`` so result records stay stable under profiling.
 
-    Never registered: wrapping happens at resolution time, and
-    resolving an already-wrapped instance never double-wraps.
+    Wrapping happens at resolution time; a :func:`use_backend` pin
+    holds the bare backend, so wrappers never stack.
     """
 
     def __init__(self, inner: KernelBackend, telemetry) -> None:
@@ -512,121 +510,67 @@ class ProfilingBackend(KernelBackend):
         return f"<ProfilingBackend around {self.inner!r}>"
 
 
-# -- registry and resolution ------------------------------------------
+# -- selection --------------------------------------------------------
 
-_REGISTRY: dict[str, KernelBackend] = {}
+#: The backends by name.
+BACKENDS: dict[str, KernelBackend] = {
+    backend.name: backend for backend in (ReferenceBackend(), FusedBackend())
+}
 
-#: Ambient selection installed by :func:`use_backend`; ``None`` defers
-#: to the environment variable / module default.
+#: The backend pinned by :func:`use_backend`; ``None`` defers to the
+#: environment variable / module default.
 _ACTIVE: contextvars.ContextVar[Optional[KernelBackend]] = (
     contextvars.ContextVar("repro_kernel_backend", default=None)
 )
 
-BackendLike = Union[str, KernelBackend, None]
 
-
-def register_backend(backend: KernelBackend) -> KernelBackend:
-    """Add a backend instance to the registry (name collisions replace,
-    which is how a test doubles a backend)."""
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-register_backend(ReferenceBackend())
-register_backend(FusedBackend())
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_backend(name: str) -> KernelBackend:
-    """Look up a backend by name (:data:`BACKEND_ENV_VAR` spelling)."""
+def _named(name: str) -> KernelBackend:
     try:
-        return _REGISTRY[name]
+        return BACKENDS[name]
     except KeyError:
         raise ValueError(
             f"unknown kernel backend {name!r}; available: "
-            + ", ".join(available_backends())
+            + ", ".join(sorted(BACKENDS))
         ) from None
 
 
-def resolve_backend(backend: BackendLike = None) -> KernelBackend:
+def resolve_backend() -> KernelBackend:
     """Resolve the active backend.
 
-    Order: explicit argument (instance or name) > ambient
-    :func:`use_backend` context > ``REPRO_KERNEL_BACKEND`` environment
-    variable (read at call time, so tests can round-trip it) > the
-    ``"fused"`` default.
+    Order: the ambient :func:`use_backend` pin >
+    ``REPRO_KERNEL_BACKEND`` environment variable (read at call time,
+    so tests can round-trip it) > the ``"fused"`` default.
 
     When the ambient :class:`~repro.telemetry.Telemetry` asks for
     kernel profiling, the resolved backend comes back wrapped in a
-    :class:`ProfilingBackend` bound to it (idempotently — resolving a
-    wrapped instance, e.g. through a ``use_backend`` pin taken while
-    telemetry was already on, never stacks wrappers).  With telemetry
-    off this is one contextvar read and one branch.
+    :class:`ProfilingBackend` bound to it.  With telemetry off this is
+    two contextvar reads and one branch, plus the environment lookup
+    when nothing is pinned.
     """
-    if isinstance(backend, KernelBackend):
-        resolved = backend
-    elif backend is not None:
-        resolved = get_backend(backend)
-    else:
-        ambient = _ACTIVE.get()
-        if ambient is not None:
-            resolved = ambient
-        else:
-            env = os.environ.get(BACKEND_ENV_VAR)
-            resolved = (
-                get_backend(env) if env else _REGISTRY[DEFAULT_BACKEND]
-            )
+    backend = _ACTIVE.get()
+    if backend is None:
+        backend = _named(os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND)
     telemetry = current_telemetry()
-    if (
-        telemetry is not None
-        and telemetry.profile_kernels
-        and not isinstance(resolved, ProfilingBackend)
-    ):
-        return ProfilingBackend(resolved, telemetry)
-    return resolved
+    if telemetry is not None and telemetry.profile_kernels:
+        return ProfilingBackend(backend, telemetry)
+    return backend
 
 
 @contextmanager
-def use_backend(backend: BackendLike = None) -> Iterator[KernelBackend]:
-    """Pin the ambient kernel backend for the dynamic extent of the
-    ``with`` block (thread- and task-local via :mod:`contextvars`).
-
-    ``use_backend(None)`` pins whatever currently resolves — the
-    high-level entry points use that to freeze one selection for a
-    whole run.
-    """
-    resolved = resolve_backend(backend)
-    token = _ACTIVE.set(resolved)
+def use_backend(name: str) -> Iterator[KernelBackend]:
+    """Pin the kernel backend ``name`` for the dynamic extent of the
+    ``with`` block (thread- and task-local via :mod:`contextvars`;
+    :func:`repro.experiments.parallel.pool_map` carries the pin into
+    worker processes)."""
+    token = _ACTIVE.set(_named(name))
     try:
-        yield resolved
+        yield resolve_backend()
     finally:
         _ACTIVE.reset(token)
 
 
-# -- module-level scatter helpers -------------------------------------
-#
-# For callers that hold no RoundState (the MessageCounter bulk paths,
-# protocol-local load updates): dispatch through the ambient backend.
-
-
-def scatter_counts(
-    target: np.ndarray, indices: np.ndarray, backend: BackendLike = None
-) -> None:
-    """``target[i] += 1`` per index, via the resolved backend."""
-    resolve_backend(backend).scatter_counts(target, indices)
-
-
-def scatter_weights(
-    target: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    backend: BackendLike = None,
-) -> None:
-    """``target[indices[j]] += weights[j]``, via the resolved backend
-    (both backends keep ``np.add.at`` order — see the module note on
-    float associativity)."""
-    resolve_backend(backend).scatter_weights(target, indices, weights)
+def scatter_counts(target: np.ndarray, indices: np.ndarray) -> None:
+    """``target[i] += 1`` per index, via the resolved backend — for
+    callers that hold no :class:`~repro.fastpath.roundstate.RoundState`
+    (the :class:`~repro.simulation.metrics.MessageCounter` paths)."""
+    resolve_backend().scatter_counts(target, indices)

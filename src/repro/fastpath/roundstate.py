@@ -101,7 +101,7 @@ from typing import Any, Literal, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.fastpath.backend import BackendLike, resolve_backend
+from repro.fastpath.backend import resolve_backend
 from repro.telemetry import current_telemetry
 from repro.fastpath.sampling import (
     ChoiceSampler,
@@ -238,7 +238,6 @@ def priority_commit_accept(
     requester_pos: np.ndarray,
     n_balls: int,
     capacity: np.ndarray,
-    backend: BackendLike = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resolve one degree-``d`` phase (Lemmas 2/3 accept rule).
 
@@ -262,9 +261,6 @@ def priority_commit_accept(
         Number of active balls (the requester-position space).
     capacity:
         Per-bin residual capacities.
-    backend:
-        Kernel backend (name or instance); ``None`` resolves the
-        ambient selection.
 
     Returns
     -------
@@ -272,7 +268,7 @@ def priority_commit_accept(
         Over the active-ball axis; ``committed_bin`` is -1 for balls
         that did not commit.
     """
-    return resolve_backend(backend).priority_commit_accept(
+    return resolve_backend().priority_commit_accept(
         choices, marks, requester_pos, n_balls, capacity
     )
 
@@ -332,12 +328,10 @@ class RoundState:
     narrows, so loads, messages, and metrics are bitwise-identical to
     the default run (the scaling-equivalence tests pin this).
 
-    Kernel backend: ``backend=`` pins which implementation of the
-    grouping/commit/scatter primitives the state runs on
-    (``"reference"`` lexsort or the default ``"fused"`` counting-sort
-    path — see :mod:`repro.fastpath.backend`); ``None`` resolves the
-    ambient :func:`~repro.fastpath.backend.use_backend` context, the
-    ``REPRO_KERNEL_BACKEND`` environment variable, or the default.
+    Kernel backend: the state runs the grouping/commit/scatter
+    primitives on the backend :func:`~repro.fastpath.backend.resolve_backend`
+    selects at construction (``"reference"`` lexsort or the default
+    ``"fused"`` counting-sort path — see :mod:`repro.fastpath.backend`).
     Backends are bitwise-identical by contract.
     """
 
@@ -354,7 +348,6 @@ class RoundState:
         weight_sum_sampler=None,
         initial_loads: Optional[np.ndarray] = None,
         chunk_size: Optional[int] = None,
-        backend: BackendLike = None,
     ) -> None:
         if m < 0 or n < 1:
             raise ValueError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
@@ -392,11 +385,11 @@ class RoundState:
         self.granularity: Granularity = granularity
         self.trials = trials
         self.chunk_size = chunk_size
-        # Kernel backend: resolved once at construction (explicit arg >
-        # use_backend context > REPRO_KERNEL_BACKEND env > "fused"), so
-        # a state's whole lifetime runs on one value-identical
-        # implementation of the grouping/commit/scatter primitives.
-        self.backend = resolve_backend(backend)
+        # Kernel backend: resolved once at construction (use_backend
+        # context > REPRO_KERNEL_BACKEND env > "fused"), so a state's
+        # whole lifetime runs on one value-identical implementation of
+        # the grouping/commit/scatter primitives.
+        self.backend = resolve_backend()
         # Telemetry sink, captured once: every per-round hook below is
         # a single ``is not None`` branch when telemetry is off.
         self._telemetry = current_telemetry()

@@ -57,7 +57,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.fastpath.backend import BackendLike, resolve_backend
+from repro.fastpath.backend import resolve_backend
 
 __all__ = [
     "ChoiceSampler",
@@ -391,7 +391,6 @@ def grouped_accept(
     choices: np.ndarray,
     capacity: np.ndarray,
     rng: np.random.Generator,
-    backend: BackendLike = None,
 ) -> np.ndarray:
     """Boolean mask: which flat requests are accepted.
 
@@ -414,9 +413,6 @@ def grouped_accept(
         treated as 0).
     rng:
         Random stream for the within-bin selection.
-    backend:
-        Kernel backend (name or instance); ``None`` resolves the
-        ambient selection (:func:`repro.fastpath.backend.resolve_backend`).
     """
     choices = np.asarray(choices)
     capacity = np.atleast_1d(np.asarray(capacity))
@@ -435,16 +431,13 @@ def grouped_accept(
         # Every bin saturated (zero-capacity round): all requests are
         # rejected; skip the grouping and its priority draws.
         return np.zeros(k, dtype=bool)
-    return grouped_accept_with_priorities(
-        choices, cap, rng.random(k), backend=backend
-    )
+    return grouped_accept_with_priorities(choices, cap, rng.random(k))
 
 
 def grouped_accept_with_priorities(
     choices: np.ndarray,
     capacity: np.ndarray,
     priorities: np.ndarray,
-    backend: BackendLike = None,
 ) -> np.ndarray:
     """The deterministic core of :func:`grouped_accept`.
 
@@ -457,8 +450,9 @@ def grouped_accept_with_priorities(
 
     The grouping itself lives on the kernel backend
     (:mod:`repro.fastpath.backend`): the ``reference`` lexsort or the
-    ``fused`` counting-sort path, selected by ``backend`` or the
-    ambient context, identical in value either way.
+    ``fused`` counting-sort path, whichever
+    :func:`~repro.fastpath.backend.resolve_backend` selects, identical
+    in value either way.
 
     ``capacity`` must already be clamped to ``>= 0``; ``priorities``
     must align with ``choices``.
@@ -468,6 +462,6 @@ def grouped_accept_with_priorities(
             f"priorities shape {priorities.shape} must match choices "
             f"shape {choices.shape}"
         )
-    return resolve_backend(backend).grouped_accept_with_priorities(
+    return resolve_backend().grouped_accept_with_priorities(
         choices, capacity, priorities
     )

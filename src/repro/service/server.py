@@ -194,11 +194,6 @@ class AllocatorService:
     workload:
         Optional workload for arriving cohorts (same rules as
         ``run_dynamic``: skew/capacities yes, weights no).
-    backend:
-        Kernel backend name pinned for every flush's placement
-        (:mod:`repro.fastpath.backend`); ``None`` keeps the ambient
-        selection.  Value-identical across backends, so flushes still
-        match ``run_dynamic`` epochs bitwise.
     fault_model:
         Optional :class:`~repro.core.faulty.FaultModel`: bins fail and
         recover at batch boundaries (failed bins quarantined from new
@@ -232,7 +227,6 @@ class AllocatorService:
         departures: str = "uniform",
         hot_frac: float = 0.1,
         workload=None,
-        backend: Optional[str] = None,
         fault_model=None,
         auto_flush: bool = True,
         **options: Any,
@@ -244,7 +238,7 @@ class AllocatorService:
         self._step = ChurnStep(
             algorithm, n, options,
             departures=departures, hot_frac=hot_frac, workload=workload,
-            fault_model=fault_model, backend=backend,
+            fault_model=fault_model,
         )
         # An empty cohort draws nothing, but the adapter checks its
         # option values first: a bad value fails here, not at the first

@@ -255,27 +255,6 @@ class TestModeAuto:
         res = allocate("single", AGGREGATE_THRESHOLD, N, seed=SEED, mode=None)
         assert res.extra["api"]["mode"] == "perball"
 
-    def test_run_one_reproduces_direct_defaults_at_large_m(self):
-        # The experiments harness must keep returning the historical
-        # (perball-default) numbers for any m unless a mode is given.
-        from repro.experiments.parallel import run_one
-
-        summary = run_one("single", AGGREGATE_THRESHOLD, N, seed=3)
-        direct = repro.run_single_choice(
-            AGGREGATE_THRESHOLD, N, seed=3, mode="perball"
-        )
-        assert summary["max_load"] == direct.max_load
-        assert summary["total_messages"] == direct.total_messages
-
-    def test_algorithms_tuple_picklable(self):
-        import copy
-        import pickle
-
-        from repro.experiments.parallel import ALGORITHMS
-
-        assert pickle.loads(pickle.dumps(ALGORITHMS)) == tuple(ALGORITHMS)
-        assert copy.deepcopy(ALGORITHMS) == tuple(ALGORITHMS)
-        assert "greedy_d" in ALGORITHMS  # alias-aware membership
 
 
 class TestShimEquivalence:
@@ -423,26 +402,86 @@ class TestBatchExecution:
     def test_backend_pinned_on_every_batch_path(
         self, batch, trial_batched, workers
     ):
-        """``backend=`` reaches the trial-batched engine (in process
-        and in shard workers) as well as the per-seed loop."""
+        """A ``use_backend`` pin reaches the trial-batched engine (in
+        process and in shard workers) as well as the per-seed loop."""
 
-        def run(**backend):
+        def run():
             if batch == "allocate_many":
                 return allocate_many(
                     "heavy", 1000, 16, repeats=2, seed=1, workers=workers,
-                    trial_batched=trial_batched, **backend,
+                    trial_batched=trial_batched,
                 )
             return sweep(
                 "heavy", [(1000, 16)], repeats=2, seed=1, workers=workers,
-                trial_batched=trial_batched, **backend,
+                trial_batched=trial_batched,
             )
 
-        pinned = run(backend="reference")
+        with repro.use_backend("reference"):
+            pinned = run()
         ambient = run()
         assert [r.extra["api"]["backend"] for r in pinned] == ["reference"] * 2
         batched = [r.extra["api"].get("trial_batched", False) for r in pinned]
         assert batched == [trial_batched is None] * 2
         for a, b in zip(pinned, ambient):
+            assert np.array_equal(a.loads, b.loads)
+
+
+@pytest.fixture
+def spawned_pools(monkeypatch):
+    """Every process pool starts its workers with ``spawn`` (the default
+    on macOS and Windows): a worker inherits nothing of the parent's
+    memory, its ``use_backend`` pin included."""
+    import functools
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    import repro.experiments.parallel as parallel
+
+    monkeypatch.setattr(
+        parallel, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("spawn"),
+        ),
+    )
+
+
+class TestBackendPinInSpawnedWorkers:
+    """A ``use_backend`` pin holds in worker processes whatever their
+    start method; the reference backend is pinned because fused is the
+    default a bare worker would fall back to."""
+
+    @pytest.mark.parametrize("entry", ["replicate", "allocate_many", "sweep"])
+    def test_entry_points_record_the_pin(self, spawned_pools, entry):
+        with repro.use_backend("reference"):
+            if entry == "replicate":
+                results = repro.replicate(
+                    "heavy", 20_000, 64, trials=4, seed=1, workers=2
+                ).results
+            elif entry == "allocate_many":
+                results = allocate_many(
+                    "heavy", 1000, 16, repeats=2, seed=1,
+                    trial_batched=False, workers=2,
+                )
+            else:
+                results = sweep(
+                    "heavy", [(1000, 16)], repeats=2, seed=1, workers=2
+                )
+        assert [r.extra["api"]["backend"] for r in results] == (
+            ["reference"] * len(results)
+        )
+
+    def test_pool_map_carries_the_pin(self, spawned_pools):
+        from repro.api.batch import _allocate_task
+        from repro.experiments.parallel import pool_map
+
+        tasks = [("single", 1000, 16, seed, None, {}) for seed in (1, 2)]
+        with repro.use_backend("reference"):
+            results = pool_map(_allocate_task, tasks, 2)
+        assert [r.extra["api"]["backend"] for r in results] == [
+            "reference", "reference"
+        ]
+        serial = [_allocate_task(task) for task in tasks]
+        for a, b in zip(results, serial):
             assert np.array_equal(a.loads, b.loads)
 
 

@@ -18,9 +18,9 @@ kernels.  These tests are that promise, at three levels:
 * end-to-end runs: perball and aggregate granularities, trial-batched
   replication, residual ``initial_loads``, zipf+weighted workloads,
   dynamic churn, per-ball message counters;
-* the selection machinery: explicit ``backend=`` > ``use_backend``
-  context > ``REPRO_KERNEL_BACKEND`` env > the ``fused`` default, plus
-  the CLI ``--backend`` round-trip — and a pinned-seed regression
+* the selection machinery: ``use_backend`` context >
+  ``REPRO_KERNEL_BACKEND`` env > the ``fused`` default, plus the CLI
+  round-trip through the env var — and a pinned-seed regression
   proving the default flip changed no values.
 """
 
@@ -37,21 +37,19 @@ import repro
 import repro.fastpath.backend as backend_module
 from repro.fastpath.backend import (
     BACKEND_ENV_VAR,
+    BACKENDS,
     DEFAULT_BACKEND,
     FusedBackend,
     ReferenceBackend,
-    available_backends,
-    get_backend,
     resolve_backend,
     scatter_counts,
-    scatter_weights,
     use_backend,
 )
 from repro.fastpath.roundstate import priority_commit_accept
 from repro.fastpath.sampling import grouped_accept_with_priorities
 
-REFERENCE = get_backend("reference")
-FUSED = get_backend("fused")
+REFERENCE = BACKENDS["reference"]
+FUSED = BACKENDS["fused"]
 
 COMMON = settings(
     deadline=None,
@@ -192,13 +190,20 @@ class TestGroupingPrimitive:
 
     def test_public_wrapper_dispatches_explicit_backend(self):
         choices, capacity, priorities = _instance(5, 500, 32, 20, 1.1, False)
-        via_name = grouped_accept_with_priorities(
-            choices, capacity, priorities, backend="reference"
+        with use_backend("reference"):
+            ref = grouped_accept_with_priorities(
+                choices, capacity, priorities
+            )
+        np.testing.assert_array_equal(
+            ref, REFERENCE.grouped_accept_with_priorities(
+                choices, capacity, priorities
+            ),
         )
-        via_instance = grouped_accept_with_priorities(
-            choices, capacity, priorities, backend=FUSED
-        )
-        np.testing.assert_array_equal(via_name, via_instance)
+        with use_backend("fused"):
+            fus = grouped_accept_with_priorities(
+                choices, capacity, priorities
+            )
+        np.testing.assert_array_equal(ref, fus)
 
 
 def _expected_buckets(choices, capacity):
@@ -396,8 +401,8 @@ class TestBucketedSelection:
 
         monkeypatch.setattr(backend_module, "_cutoff_accept", spy)
         m = 10**5
-        repro.allocate("heavy", m, 256, mode="perball", seed=0,
-                       backend="fused")
+        with use_backend("fused"):
+            repro.allocate("heavy", m, 256, mode="perball", seed=0)
         assert ranked and ranked[0] < 0.05 * m
 
 
@@ -559,11 +564,11 @@ class TestCutoffSelection:
         # Trial-batched A_light groups over one composite bin space for
         # all trials, in which a few percent of the bins are contended.
         kwargs = dict(trials=64, seed=5)
-        ref = repro.replicate("heavy", 10**5, 256, backend="reference",
-                              **kwargs)
+        with use_backend("reference"):
+            ref = repro.replicate("heavy", 10**5, 256, **kwargs)
         cutoff_calls.clear()
-        fus = repro.replicate("heavy", 10**5, 256, backend="fused",
-                              **kwargs)
+        with use_backend("fused"):
+            fus = repro.replicate("heavy", 10**5, 256, **kwargs)
         np.testing.assert_array_equal(ref.loads, fus.loads)
         np.testing.assert_array_equal(ref.rounds, fus.rounds)
         np.testing.assert_array_equal(ref.total_messages, fus.total_messages)
@@ -628,12 +633,15 @@ class TestCommitPrimitive:
         marks = rng.random(40)
         pos = np.repeat(np.arange(20, dtype=np.int64), 2)
         cap = np.full(8, 2, dtype=np.int64)
-        ref = priority_commit_accept(
-            choices, marks, pos, 20, cap, backend="reference"
+        with use_backend("reference"):
+            ref = priority_commit_accept(choices, marks, pos, 20, cap)
+        with use_backend("fused"):
+            fus = priority_commit_accept(choices, marks, pos, 20, cap)
+        expected = REFERENCE.priority_commit_accept(
+            choices, marks, pos, 20, cap
         )
-        fus = priority_commit_accept(
-            choices, marks, pos, 20, cap, backend="fused"
-        )
+        np.testing.assert_array_equal(ref[0], expected[0])
+        np.testing.assert_array_equal(ref[1], expected[1])
         np.testing.assert_array_equal(ref[0], fus[0])
         np.testing.assert_array_equal(ref[1], fus[1])
 
@@ -669,15 +677,12 @@ class TestScatterPrimitives:
         indices = rng.integers(0, 16, size=200)
         a = np.zeros(16, dtype=np.int64)
         b = np.zeros(16, dtype=np.int64)
-        scatter_counts(a, indices, backend="reference")
-        scatter_counts(b, indices, backend="fused")
+        with use_backend("reference"):
+            scatter_counts(a, indices)
+        with use_backend("fused"):
+            scatter_counts(b, indices)
         np.testing.assert_array_equal(a, b)
-        wa = np.zeros(16)
-        wb = np.zeros(16)
-        w = rng.random(200)
-        scatter_weights(wa, indices, w, backend="reference")
-        scatter_weights(wb, indices, w, backend="fused")
-        np.testing.assert_array_equal(wa, wb)
+        np.testing.assert_array_equal(a, np.bincount(indices, minlength=16))
 
 
 def _run_pair(name, m, n, **kwargs):
@@ -788,21 +793,21 @@ class TestEndToEndEquivalence:
         )
 
     def test_replicate_backend_argument(self):
-        # The first-class backend= kwarg (which also rides the
-        # sequential process-pool path) equals the ambient context.
-        via_arg = repro.replicate(
-            "heavy", 10_000, 64, trials=4, seed=1, backend="reference"
-        )
+        # The pin rides the sequential process-pool path too, and
+        # equals the default fused run.
         with use_backend("reference"):
-            via_ctx = repro.replicate("heavy", 10_000, 64, trials=4, seed=1)
-        np.testing.assert_array_equal(via_arg.loads, via_ctx.loads)
+            pinned = repro.replicate(
+                "heavy", 10_000, 64, trials=4, seed=1, trial_batched=False,
+                workers=2,
+            )
+        default = repro.replicate("heavy", 10_000, 64, trials=4, seed=1)
+        np.testing.assert_array_equal(pinned.loads, default.loads)
 
     def test_dynamic_churn(self):
         with use_backend("reference"):
             ref = repro.run_dynamic("heavy", 10_000, 64, seed=2, epochs=3)
-        fus = repro.run_dynamic(
-            "heavy", 10_000, 64, seed=2, epochs=3, backend="fused"
-        )
+        with use_backend("fused"):
+            fus = repro.run_dynamic("heavy", 10_000, 64, seed=2, epochs=3)
         np.testing.assert_array_equal(ref.gaps, fus.gaps)
         np.testing.assert_array_equal(ref.loads, fus.loads)
         assert ref.churn_messages == fus.churn_messages
@@ -810,13 +815,14 @@ class TestEndToEndEquivalence:
 
 class TestSelectionMachinery:
     def test_registry_lists_both(self):
-        assert "reference" in available_backends()
-        assert "fused" in available_backends()
+        assert sorted(BACKENDS) == ["fused", "reference"]
         assert DEFAULT_BACKEND == "fused"
-        assert isinstance(get_backend("fused"), FusedBackend)
-        assert isinstance(get_backend("reference"), ReferenceBackend)
+        for name, cls in (("fused", FusedBackend),
+                          ("reference", ReferenceBackend)):
+            with use_backend(name) as backend:
+                assert type(backend) is cls and backend is BACKENDS[name]
         # fused inherits reference: the fallback *is* the specification.
-        assert isinstance(get_backend("fused"), ReferenceBackend)
+        assert isinstance(FUSED, ReferenceBackend)
 
     def test_default_resolution(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
@@ -828,40 +834,48 @@ class TestSelectionMachinery:
         res = repro.allocate("heavy", 2_000, 16, seed=0)
         assert res.extra["api"]["backend"] == "reference"
 
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        res = repro.allocate("heavy", 2_000, 16, seed=0, backend="fused")
-        assert res.extra["api"]["backend"] == "fused"
-
     def test_context_beats_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "fused")
         with use_backend("reference"):
             assert resolve_backend().name == "reference"
+            res = repro.allocate("heavy", 2_000, 16, seed=0)
+            assert res.extra["api"]["backend"] == "reference"
         assert resolve_backend().name == "fused"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("turbo")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            repro.allocate("heavy", 2_000, 16, seed=0, backend="turbo")
+            with use_backend("turbo"):
+                pass
+        assert resolve_backend().name in BACKENDS
+
+    @pytest.mark.parametrize("entry", [
+        lambda: repro.allocate("heavy", 2_000, 16, backend="fused"),
+        lambda: repro.replicate("heavy", 2_000, 16, trials=2,
+                                backend="fused"),
+        lambda: repro.run_dynamic("heavy", 2_000, 16, epochs=1,
+                                  backend="fused"),
+        lambda: repro.AllocatorService("heavy", 16, backend="fused"),
+    ], ids=["allocate", "replicate", "run_dynamic", "service"])
+    def test_backend_keyword_is_an_unknown_option(self, entry):
+        # A use_backend pin is the one selector: the entry points
+        # reject backend= like any other unknown option.
+        with pytest.raises(ValueError, match="unknown .*option.*'backend'"):
+            entry()
 
     def test_env_invalid_name_rejected(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "turbo")
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_backend()
 
-    def test_cli_backend_round_trip(self, capsys):
+    def test_cli_backend_round_trip(self, capsys, monkeypatch):
         from repro.__main__ import main
 
-        assert main(
-            ["heavy", "--m", "2000", "--n", "16", "--seed", "0",
-             "--backend", "reference"]
-        ) == 0
+        argv = ["heavy", "--m", "2000", "--n", "16", "--seed", "0"]
+        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
+        assert main(argv) == 0
         ref_out = capsys.readouterr().out
-        assert main(
-            ["heavy", "--m", "2000", "--n", "16", "--seed", "0",
-             "--backend", "fused"]
-        ) == 0
+        monkeypatch.setenv(BACKEND_ENV_VAR, "fused")
+        assert main(argv) == 0
         fus_out = capsys.readouterr().out
 
         def results(out):
@@ -877,13 +891,12 @@ class TestSelectionMachinery:
         assert results(ref_out) == results(fus_out)
         assert len(results(ref_out)) == len(ref_out.splitlines()) - 1
 
-    def test_cli_rejects_unknown_backend(self, capsys):
+    def test_cli_rejects_unknown_backend(self, monkeypatch):
         from repro.__main__ import main
 
-        with pytest.raises(SystemExit) as excinfo:
-            main(["heavy", "--m", "100", "--n", "8", "--backend", "turbo"])
-        assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        monkeypatch.setenv(BACKEND_ENV_VAR, "turbo")
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            main(["heavy", "--m", "100", "--n", "8"])
 
 
 class TestKernelMicrobench:
@@ -931,7 +944,7 @@ class TestKernelMicrobench:
                     out[0] = ~out[0]
                 return out
 
-        monkeypatch.setitem(backend_mod._REGISTRY, "fused", Broken())
+        monkeypatch.setitem(backend_mod.BACKENDS, "fused", Broken())
         with pytest.raises(RuntimeError, match="kernel backend mismatch"):
             benchmark_kernels(1_000, 16, seed=0, repeats=1)
 
@@ -963,9 +976,8 @@ class TestPinnedRegression:
         self._check(res)
 
     def test_reference_backend_reproduces_the_same_pin(self):
-        res = repro.allocate(
-            "heavy", 100_000, 256, seed=7, backend="reference"
-        )
+        with use_backend("reference"):
+            res = repro.allocate("heavy", 100_000, 256, seed=7)
         assert res.extra["api"]["backend"] == "reference"
         self._check(res)
 
@@ -1021,7 +1033,8 @@ class TestMessageCounterPins:
         import json
 
         mode = {} if name in ("dchoice", "faulty") else {"mode": "perball"}
-        res = repro.allocate(name, m, n, backend=backend, **mode, **kwargs)
+        with use_backend(backend):
+            res = repro.allocate(name, m, n, **mode, **kwargs)
         row = [_crc(res.loads), int(res.total_messages)]
         c = res.messages
         if c is not None:

@@ -326,31 +326,32 @@ class TestAmbientTelemetry:
 
 class TestProfilingBackend:
     def test_resolve_wraps_under_telemetry(self):
-        from repro.fastpath.backend import ProfilingBackend, resolve_backend
+        from repro.fastpath.backend import (
+            ProfilingBackend,
+            resolve_backend,
+            use_backend,
+        )
 
-        assert not isinstance(resolve_backend(None), ProfilingBackend)
-        with use_telemetry(Telemetry()):
-            backend = resolve_backend("fused")
+        assert not isinstance(resolve_backend(), ProfilingBackend)
+        with use_telemetry(Telemetry()), use_backend("fused") as backend:
             assert isinstance(backend, ProfilingBackend)
             assert backend.name == "fused"  # inner name preserved
-            # Re-resolving an already-wrapped backend never double-wraps.
-            again = resolve_backend(backend)
+            # The pin holds the bare backend, so wrappers never stack.
+            again = resolve_backend()
             assert not isinstance(again.inner, ProfilingBackend)
 
     def test_profile_kernels_false_skips_wrap(self):
         from repro.fastpath.backend import ProfilingBackend, resolve_backend
 
         with use_telemetry(Telemetry(profile_kernels=False)):
-            assert not isinstance(
-                resolve_backend("fused"), ProfilingBackend
-            )
+            assert not isinstance(resolve_backend(), ProfilingBackend)
 
     def test_primitive_histogram_populated(self):
         # Pin the backend so the label matches even when the suite
         # runs under REPRO_KERNEL_BACKEND=reference.
         tele = Telemetry()
-        with use_telemetry(tele):
-            repro.allocate("heavy", 5_000, 64, seed=1, backend="fused")
+        with use_telemetry(tele), repro.use_backend("fused"):
+            repro.allocate("heavy", 5_000, 64, seed=1)
         hist = tele.metrics.get(
             "kernel.primitive.seconds",
             primitive="grouped_accept",
@@ -392,11 +393,11 @@ class TestBitwiseIdentity:
         assert any(e["name"] == "allocate" for e in tele.tracer.events)
 
     def test_allocate_reference_backend(self):
-        off, on, _ = _on_off(
-            lambda: repro.allocate(
-                "heavy", self.M, self.N, seed=3, backend="reference"
-            )
-        )
+        def run():
+            with repro.use_backend("reference"):
+                return repro.allocate("heavy", self.M, self.N, seed=3)
+
+        off, on, _ = _on_off(run)
         _assert_same_allocation(off, on)
         # The dispatch record reports the inner backend, not the wrapper.
         assert on.extra["api"]["backend"] == "reference"
