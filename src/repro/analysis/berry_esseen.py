@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats as _sps
-
 __all__ = [
     "BERRY_ESSEEN_CONSTANT",
     "berry_esseen_bound",
@@ -94,11 +92,15 @@ def overload_probability_lower_bound(
         A number in ``[0, 1)``; positive iff the paper's constant-
         probability overload event is certified at these parameters.
     """
+    # scipy is imported here, not at module level, so that importing
+    # the package (every allocation path) does not load it.
+    from scipy import stats
+
     if n_bins < 2:
         raise ValueError(f"n_bins must be >= 2, got {n_bins}")
     p = 1.0 / n_bins
     x = a / math.sqrt(1.0 - p)
-    tail = 1.0 - _sps.norm.cdf(x)
+    tail = 1.0 - stats.norm.cdf(x)
     be = berry_esseen_bound(m_balls, p, constant=constant)
     return max(0.0, tail - be)
 
@@ -113,6 +115,8 @@ def binomial_upper_deviation_probability(
     sanity columns.  Computed via the survival function of the binomial
     distribution at the smallest integer ``>= mu + a sqrt(mu)``.
     """
+    from scipy import stats
+
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     if m_balls < 0:
@@ -121,4 +125,4 @@ def binomial_upper_deviation_probability(
     mu = m_balls * p
     threshold = math.ceil(mu + a * math.sqrt(mu))
     # sf(k-1) = P[X >= k]
-    return float(_sps.binom.sf(threshold - 1, m_balls, p))
+    return float(stats.binom.sf(threshold - 1, m_balls, p))

@@ -110,8 +110,7 @@ def run_batched(
     from repro.fastpath.backend import resolve_backend
 
     results = spec.replicator.runner(
-        m, n, trials=len(seed_seqs), seed_seqs=list(seed_seqs),
-        workload=workload, **runner_kwargs,
+        m, n, seed_seqs=list(seed_seqs), workload=workload, **runner_kwargs
     )
     for result in results:
         result.extra["api"] = {

@@ -75,18 +75,19 @@ class Adapter:
     ----------
     runner:
         The adapter function.  A replicator is called as
-        ``runner(m, n, trials=T, seed_seqs=[...], workload=..., **options)``
+        ``runner(m, n, seed_seqs=[...], workload=..., **options)``
         with one spawned :class:`numpy.random.SeedSequence` per trial
-        and returns ``T`` :class:`~repro.result.AllocationResult`
-        objects, trial ``t`` bitwise-identical to the allocator's
+        and returns one :class:`~repro.result.AllocationResult` per
+        seed, trial ``t`` bitwise-identical to the allocator's
         ``aggregate`` run seeded with ``seed_seqs[t]``.  A dynamic
         adapter is called as
         ``runner(m, n, initial_loads=..., seed=..., workload=..., **options)``
         where ``m`` is the arriving cohort and ``initial_loads`` the
-        residual per-bin occupancy it is placed against; it returns a
-        :class:`repro.dynamic.placement.DynamicPlacement`, and with
-        all-zero ``initial_loads`` it is the allocator's one-shot run
-        on the cohort.
+        residual per-bin occupancy it is placed against.  It returns
+        the cohort's :class:`~repro.result.AllocationResult`: ``loads``
+        is where the cohort's ``m`` balls landed and ``unallocated``
+        the balls it stranded.  With all-zero ``initial_loads`` it is
+        the allocator's one-shot run on the cohort.
     options:
         Keyword options the adapter accepts beyond its reserved
         parameters; a batch request with any other option falls back
@@ -420,13 +421,13 @@ def register_replicator(
 
     Must run after the allocator's own :func:`register_allocator`
     decoration (adapters live below their runner in the same module).
-    The adapter reproduces the spec's ``aggregate`` mode bitwise, per
-    trial, so the spec must list that mode; the dispatching batch
-    helpers substitute it only when a request resolves to it.
+    The adapter takes ``seed_seqs`` (one seed per trial, so the trial
+    count is its length) and ``workload``.  It reproduces the spec's
+    ``aggregate`` mode bitwise, per trial, so the spec must list that
+    mode; the dispatching batch helpers substitute it only when a
+    request resolves to it.
     """
-    return _attach(
-        name, "replicator", "replicator", ("trials", "seed_seqs", "workload")
-    )
+    return _attach(name, "replicator", "replicator", ("seed_seqs", "workload"))
 
 
 def register_dynamic(
@@ -436,6 +437,9 @@ def register_dynamic(
 
     Must run after the allocator's own :func:`register_allocator`
     decoration (adapters live below their runner in the same module).
+    The adapter takes ``initial_loads``, ``seed`` and ``workload`` and
+    returns the cohort's :class:`~repro.result.AllocationResult` (see
+    :class:`Adapter`).
     """
     return _attach(
         name, "dynamic", "dynamic adapter",

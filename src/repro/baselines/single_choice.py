@@ -22,11 +22,10 @@ from repro.api.spec import (
     register_dynamic,
     register_replicator,
 )
-from repro.dynamic.placement import DynamicPlacement, check_mode
 from repro.fastpath.roundstate import RoundState
 from repro.result import AllocationResult
 from repro.utils.seeding import RngFactory
-from repro.utils.validation import ensure_m_n
+from repro.utils.validation import check_mode, ensure_m_n
 from repro.workloads import bind_workload
 
 __all__ = [
@@ -71,8 +70,7 @@ def run_single_choice(
         workloads are bitwise-identical to the historical run.
     """
     m, n = ensure_m_n(m, n)
-    if mode not in ("perball", "aggregate"):
-        raise ValueError(f"mode must be 'perball' or 'aggregate', got {mode!r}")
+    check_mode(mode)
     factory = RngFactory(seed)
     bound = bind_workload(workload, m, n, factory, granularity=mode)
     rng = factory.stream("single", "choices")
@@ -123,11 +121,11 @@ def replicate_single_choice(
     m: int,
     n: int,
     *,
-    trials: int,
     seed_seqs,
     workload=None,
 ) -> list[AllocationResult]:
-    """Run ``trials`` seeded one-shot allocations in one batched round.
+    """Run one seeded one-shot allocation per ``seed_seqs`` entry in
+    one batched round.
 
     One trial-batched kernel round — a ``(T, n)`` occupancy matrix
     drawn from per-trial generators — replaces ``T`` sequential runs;
@@ -135,8 +133,6 @@ def replicate_single_choice(
     seed=seed_seqs[t], mode="aggregate", ...)``.
     """
     m, n = ensure_m_n(m, n)
-    if len(seed_seqs) != trials:
-        raise ValueError(f"need {trials} seed sequences, got {len(seed_seqs)}")
     factories = [RngFactory(s) for s in seed_seqs]
     bounds = [
         bind_workload(workload, m, n, f, granularity="aggregate")
@@ -150,7 +146,7 @@ def replicate_single_choice(
         m,
         n,
         granularity="aggregate",
-        trials=trials,
+        trials=len(factories),
         weight_sum_sampler=samplers if weighted else None,
     )
     batch = state.sample_contacts(rngs, pvals=bounds[0].sampler)
@@ -196,13 +192,15 @@ def dynamic_single_choice(
     seed=None,
     workload=None,
     mode: Literal["perball", "aggregate"] = "aggregate",
-) -> DynamicPlacement:
+) -> AllocationResult:
     """Place a cohort of ``m`` new balls on top of residual bin loads.
 
     The one-shot process has no admission control, so residual loads
     only shift where the statistics land: the cohort's contacts are
-    drawn exactly as in :func:`run_single_choice` (with all-zero
-    ``initial_loads`` this *is* that run, stream for stream).
+    drawn exactly as in :func:`run_single_choice`.  Returns the
+    cohort's :class:`~repro.result.AllocationResult` (``loads`` is
+    where the cohort landed); with all-zero ``initial_loads`` it is
+    that run, stream for stream.
     """
     initial = np.asarray(initial_loads, dtype=np.int64)
     if initial.shape != (n,):
@@ -211,13 +209,7 @@ def dynamic_single_choice(
         )
     check_mode(mode)
     if m == 0:
-        return DynamicPlacement(
-            loads=initial.copy(),
-            placed=0,
-            unplaced=0,
-            rounds=0,
-            total_messages=0,
-        )
+        return AllocationResult("single-choice", 0, n, np.zeros(n), rounds=0)
     m, n = ensure_m_n(m, n)
     factory = RngFactory(seed)
     bound = bind_workload(workload, m, n, factory, granularity=mode)
@@ -244,11 +236,13 @@ def dynamic_single_choice(
     )
     if workload_record is not None:
         extra["workload"] = workload_record
-    return DynamicPlacement(
-        loads=state.loads,
-        placed=m,
-        unplaced=0,
+    return AllocationResult(
+        algorithm="single-choice",
+        m=m,
+        n=n,
+        loads=state.placed_loads,
         rounds=1,
-        total_messages=int(state.total_messages),
+        total_messages=state.total_messages,
+        seed_entropy=factory.root_entropy,
         extra=extra,
     )

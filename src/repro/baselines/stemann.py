@@ -40,11 +40,10 @@ from repro.api.spec import (
     register_dynamic,
     register_replicator,
 )
-from repro.dynamic.placement import DynamicPlacement, check_mode
 from repro.fastpath.roundstate import RoundState
 from repro.result import AllocationResult
 from repro.utils.seeding import RngFactory
-from repro.utils.validation import ensure_m_n
+from repro.utils.validation import check_mode, ensure_m_n
 from repro.workloads import bind_workload
 
 __all__ = ["dynamic_stemann", "replicate_stemann", "run_stemann"]
@@ -95,8 +94,7 @@ def run_stemann(
         Uniform workloads are bitwise-identical to the historical run.
     """
     m, n = ensure_m_n(m, n)
-    if mode not in ("perball", "aggregate"):
-        raise ValueError(f"mode must be 'perball' or 'aggregate', got {mode!r}")
+    check_mode(mode)
     if collision_factor <= 1.0:
         raise ValueError(
             f"collision_factor must be > 1, got {collision_factor}"
@@ -146,13 +144,13 @@ def replicate_stemann(
     m: int,
     n: int,
     *,
-    trials: int,
     seed_seqs,
     workload=None,
     collision_factor: float = 2.0,
     max_rounds: int = 100_000,
 ) -> list[AllocationResult]:
-    """Run ``trials`` seeded collision-protocol replications in lock-step.
+    """Run one seeded collision-protocol replication per ``seed_seqs``
+    entry, all in lock-step.
 
     The all-or-nothing rule is count-determined, so every round is one
     trial-batched kernel call over the ``(T, n)`` occupancy matrix;
@@ -164,8 +162,6 @@ def replicate_stemann(
         raise ValueError(
             f"collision_factor must be > 1, got {collision_factor}"
         )
-    if len(seed_seqs) != trials:
-        raise ValueError(f"need {trials} seed sequences, got {len(seed_seqs)}")
     bound = math.ceil(collision_factor * math.ceil(m / n))
     factories = [RngFactory(s) for s in seed_seqs]
     wls = [
@@ -181,7 +177,7 @@ def replicate_stemann(
         m,
         n,
         granularity="aggregate",
-        trials=trials,
+        trials=len(factories),
         weight_sum_sampler=samplers if weighted else None,
     )
     while state.any_active and state.rounds < max_rounds:
@@ -231,7 +227,7 @@ def dynamic_stemann(
     mode: Literal["perball", "aggregate"] = "aggregate",
     collision_factor: float = 2.0,
     max_rounds: int = 100_000,
-) -> DynamicPlacement:
+) -> AllocationResult:
     """Place a cohort of ``m`` new balls under the collision rule.
 
     The collision bound is computed for the *population* (residents
@@ -239,8 +235,10 @@ def dynamic_stemann(
     and the cohort runs the all-or-nothing rounds against the
     residents' loads.  A state whose bins are all at or above the
     bound terminates immediately, stranding the cohort, without
-    drawing from the stream (the all-saturated guard).  With all-zero
-    ``initial_loads`` this is exactly :func:`run_stemann` on the
+    drawing from the stream (the all-saturated guard).  Returns the
+    cohort's :class:`~repro.result.AllocationResult` (``loads`` is
+    where the cohort landed, ``unallocated`` the stranded balls);
+    with all-zero ``initial_loads`` it is :func:`run_stemann` on the
     cohort, stream for stream.
     """
     initial = np.asarray(initial_loads, dtype=np.int64)
@@ -254,13 +252,7 @@ def dynamic_stemann(
             f"collision_factor must be > 1, got {collision_factor}"
         )
     if m == 0:
-        return DynamicPlacement(
-            loads=initial.copy(),
-            placed=0,
-            unplaced=0,
-            rounds=0,
-            total_messages=0,
-        )
+        return AllocationResult("stemann", 0, n, np.zeros(n), rounds=0)
     m, n = ensure_m_n(m, n)
     total = m + int(initial.sum())
     bound = math.ceil(collision_factor * math.ceil(total / n))
@@ -290,11 +282,15 @@ def dynamic_stemann(
     workload_record = wl.extra_record(state.weighted_loads)
     if workload_record is not None:
         extra["workload"] = workload_record
-    return DynamicPlacement(
-        loads=state.loads,
-        placed=m - remaining,
-        unplaced=remaining,
+    return AllocationResult(
+        algorithm="stemann",
+        m=m,
+        n=n,
+        loads=state.placed_loads,
         rounds=state.rounds,
-        total_messages=int(state.total_messages),
+        total_messages=state.total_messages,
+        complete=remaining == 0,
+        unallocated=remaining,
+        seed_entropy=factory.root_entropy,
         extra=extra,
     )

@@ -50,7 +50,7 @@ from repro.api.spec import register_allocator
 from repro.fastpath.roundstate import RoundState
 from repro.result import AllocationResult
 from repro.utils.seeding import RngFactory
-from repro.utils.validation import ensure_m_n
+from repro.utils.validation import check_mode, ensure_m_n
 from repro.workloads import bind_workload
 
 __all__ = ["AsymmetricConfig", "run_asymmetric", "superbin_blocks"]
@@ -234,8 +234,7 @@ def run_asymmetric(
         ``presymmetric_used`` and the per-round ``(n_r, L_r)`` schedule
         (plus ``bin_received_max`` in aggregate mode).
     """
-    if mode not in ("perball", "aggregate"):
-        raise ValueError(f"mode must be 'perball' or 'aggregate', got {mode!r}")
+    check_mode(mode)
     m, n = ensure_m_n(m, n, require_heavy=True)
     perball = mode == "perball"
     factory = RngFactory(seed)

@@ -30,10 +30,9 @@ from repro.core.heavy import (
     run_heavy,
 )
 from repro.core.trivial import run_trivial
-from repro.dynamic.placement import DynamicPlacement, check_mode
 from repro.result import AllocationResult
 from repro.utils.logstar import loglog2
-from repro.utils.validation import ensure_m_n
+from repro.utils.validation import check_mode, ensure_m_n
 
 __all__ = [
     "dynamic_combined",
@@ -102,12 +101,12 @@ def replicate_combined(
     m: int,
     n: int,
     *,
-    trials: int,
     seed_seqs,
     workload=None,
     config: Optional[HeavyConfig] = None,
 ) -> list[AllocationResult]:
-    """Run ``trials`` seeded replications of the combined algorithm.
+    """Run one seeded replication of the combined algorithm per
+    ``seed_seqs`` entry.
 
     The Section 3 dispatch test depends only on ``(m, n)``, so every
     trial takes the same branch: tiny ``n`` runs the deterministic
@@ -127,7 +126,6 @@ def replicate_combined(
         results = replicate_heavy(
             m,
             n,
-            trials=trials,
             seed_seqs=seed_seqs,
             workload=workload,
             config=config or HeavyConfig(),
@@ -191,7 +189,7 @@ def dynamic_combined(
     mode: str = "aggregate",
     config: Optional[HeavyConfig] = None,
     drain_settle: bool = False,
-) -> DynamicPlacement:
+) -> AllocationResult:
     """Place a cohort with the Section 3 dispatch under residual loads.
 
     The dispatch test runs on the *population* (residents plus
@@ -199,7 +197,8 @@ def dynamic_combined(
     analog places the cohort by water-filling the least-loaded bins up
     to ``ceil(total/n)`` (zero randomness, ``<= n`` rounds); otherwise
     the cohort runs the incremental ``A_heavy`` placement
-    (:func:`~repro.core.heavy.dynamic_heavy`).  The branch taken is
+    (:func:`~repro.core.heavy.dynamic_heavy`).  Returns the cohort's
+    :class:`~repro.result.AllocationResult`, with the branch taken
     recorded in ``extra["branch"]``.
     """
     initial = np.asarray(initial_loads, dtype=np.int64)
@@ -209,13 +208,7 @@ def dynamic_combined(
         )
     check_mode(mode)
     if m == 0:
-        return DynamicPlacement(
-            loads=initial.copy(),
-            placed=0,
-            unplaced=0,
-            rounds=0,
-            total_messages=0,
-        )
+        return AllocationResult("combined", 0, n, np.zeros(n), rounds=0)
     total = m + int(initial.sum())
     ensure_m_n(total, n, require_heavy=True)
     if should_use_trivial(total, n):
@@ -224,15 +217,17 @@ def dynamic_combined(
         # Message model: the trivial algorithm is one request per ball
         # per visited bin; the deterministic fill charges the lower
         # bound of one commit message per placed ball.
-        placement = DynamicPlacement(
-            loads=loads,
-            placed=m - unplaced,
-            unplaced=unplaced,
-            rounds=min(n, m - unplaced) if m > unplaced else 0,
+        return AllocationResult(
+            algorithm="combined",
+            m=m,
+            n=n,
+            loads=loads - initial,
+            rounds=min(n, m - unplaced),
             total_messages=m - unplaced,
+            complete=unplaced == 0,
+            unallocated=unplaced,
             extra={"branch": "trivial", "threshold": cap},
         )
-        return placement
     placement = dynamic_heavy(
         m,
         n,
@@ -244,4 +239,5 @@ def dynamic_combined(
         drain_settle=drain_settle,
     )
     placement.extra["branch"] = "heavy"
+    placement.algorithm = "combined"
     return placement

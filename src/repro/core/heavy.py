@@ -46,7 +46,6 @@ from repro.core.thresholds import (
     PaperSchedule,
     ThresholdSchedule,
 )
-from repro.dynamic.placement import DynamicPlacement, check_mode
 from repro.fastpath.roundstate import RoundState
 from repro.light.lw16 import LightConfig
 from repro.light.virtual import (
@@ -57,7 +56,7 @@ from repro.result import AllocationResult
 from repro.simulation.metrics import MessageCounter, RunMetrics
 from repro.telemetry import current_telemetry
 from repro.utils.seeding import RngFactory
-from repro.utils.validation import ensure_m_n
+from repro.utils.validation import check_mode, ensure_m_n
 from repro.workloads import Workload, as_workload, bind_workload
 
 __all__ = [
@@ -195,8 +194,7 @@ def run_threshold_protocol(
     bitwise-identical either way.
     """
     m, n = ensure_m_n(m, n, require_heavy=initial_loads is None)
-    if mode not in ("perball", "aggregate"):
-        raise ValueError(f"mode must be 'perball' or 'aggregate', got {mode!r}")
+    check_mode(mode)
     if phase not in _PHASE_STREAMS:
         raise ValueError(
             f"phase must be one of {sorted(_PHASE_STREAMS)}, got {phase!r}"
@@ -676,14 +674,14 @@ def replicate_heavy(
     m: int,
     n: int,
     *,
-    trials: int,
     seed_seqs,
     workload: Optional[Workload] = None,
     config: HeavyConfig = HeavyConfig(),
     schedule: Optional[ThresholdSchedule] = None,
     handoff: bool = True,
 ) -> list[AllocationResult]:
-    """Run ``trials`` seeded replications of ``A_heavy`` in one batch.
+    """Run one seeded replication of ``A_heavy`` per ``seed_seqs``
+    entry, all in one batch.
 
     Phase 1 (threshold rounds) advances all trials in lock-step on the
     trial-batched aggregate kernels.  Phase 2 hands each trial's
@@ -696,8 +694,6 @@ def replicate_heavy(
     mode="aggregate", ...)``.
     """
     m, n = ensure_m_n(m, n, require_heavy=True)
-    if len(seed_seqs) != trials:
-        raise ValueError(f"need {trials} seed sequences, got {len(seed_seqs)}")
     factories = [RngFactory(s) for s in seed_seqs]
     bounds = [
         bind_workload(workload, m, n, f, granularity="aggregate")
@@ -768,7 +764,7 @@ def dynamic_heavy(
     settle_rounds: int = 2,
     drain_settle: bool = False,
     chunk_size: Optional[int] = None,
-) -> DynamicPlacement:
+) -> AllocationResult:
     """Place a cohort of ``m`` new balls against residual bin loads.
 
     The incremental form of ``A_heavy``: the paper's oblivious
@@ -808,15 +804,19 @@ def dynamic_heavy(
     the dynamic runner turns this on automatically for adversarial and
     fault-injected regimes.
 
-    With ``settle_rounds=0``, all-zero ``initial_loads``, and
-    ``m >= n`` this is exactly ``run_heavy(m, n, seed=seed,
-    mode=mode)``: same streams, same schedule, same values (the
-    fresh-fill anchor the 100%-churn tests pin; settle rounds draw
-    from their own stream, so enabling them perturbs no phase-1 or
-    light draw).  The phase-2 handoff and its fold are
-    :func:`run_heavy`'s own; ``extra`` records ``phase1_rounds``,
-    ``settle_rounds`` and ``phase2_rounds`` (plus
-    ``light_used_fallback`` and ``virtual_factor`` after a handoff).
+    Returns the cohort's :class:`~repro.result.AllocationResult`:
+    ``loads`` is where the cohort's balls landed (the residents are
+    not in it) and ``unallocated`` counts the balls left over when
+    ``handoff`` is off.  With ``settle_rounds=0``, all-zero
+    ``initial_loads``, and ``m >= n`` it equals ``run_heavy(m, n,
+    seed=seed, mode=mode)`` on loads, rounds and messages: same
+    streams, same schedule, same values (the fresh-fill anchor the
+    100%-churn tests pin; settle rounds draw from their own stream,
+    so enabling them perturbs no phase-1 or light draw).  The phase-2
+    handoff and its fold are :func:`run_heavy`'s own; ``extra``
+    records ``phase1_rounds``, ``settle_rounds`` and ``phase2_rounds``
+    (plus ``light_used_fallback`` and ``virtual_factor`` after a
+    handoff).
 
     ``chunk_size`` engages the value-preserving memory path (see
     :func:`run_heavy`) for the threshold and settle rounds alike; both
@@ -835,13 +835,7 @@ def dynamic_heavy(
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if m == 0:
-        return DynamicPlacement(
-            loads=initial.copy(),
-            placed=0,
-            unplaced=0,
-            rounds=0,
-            total_messages=0,
-        )
+        return AllocationResult("heavy", 0, n, np.zeros(n), rounds=0)
     total = m + int(initial.sum())
     ensure_m_n(total, n, require_heavy=True)
     factory = RngFactory(seed)
@@ -931,11 +925,15 @@ def dynamic_heavy(
     workload_record = bound.extra_record(weighted_loads)
     if workload_record is not None:
         extra["workload"] = workload_record
-    return DynamicPlacement(
-        loads=loads,
-        placed=m - unplaced,
-        unplaced=unplaced,
+    return AllocationResult(
+        algorithm="heavy",
+        m=m,
+        n=n,
+        loads=loads - initial,
         rounds=rounds,
         total_messages=messages,
+        complete=unplaced == 0,
+        unallocated=unplaced,
+        seed_entropy=factory.root_entropy,
         extra=extra,
     )

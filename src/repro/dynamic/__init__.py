@@ -19,7 +19,6 @@ epoch model and the capability matrix.
 """
 
 from repro.dynamic.faults import FaultState, place_with_loss
-from repro.dynamic.placement import DynamicPlacement
 from repro.dynamic.runner import (
     DynamicResult,
     EpochRecord,
@@ -30,7 +29,6 @@ from repro.dynamic.spec import DynamicSpec
 from repro.dynamic.state import ResidentState
 
 __all__ = [
-    "DynamicPlacement",
     "DynamicResult",
     "DynamicSpec",
     "EpochRecord",

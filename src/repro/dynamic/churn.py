@@ -9,8 +9,10 @@ it through one :class:`ChurnStep`:
    (:meth:`ResidentState.depart`);
 3. **placement** — the arriving cohort is placed against the
    residents' loads, contacts quarantined away from failed bins, lost
-   acks retried against ghost reservations (:func:`place_with_loss`),
-   and the acked cohort joins the residents.
+   acks retried against ghost reservations (:func:`place_with_loss`).
+   The placement is the acked cohort's
+   :class:`~repro.result.AllocationResult`, and its ``loads`` join the
+   residents.
 
 Randomness: the control factory's ``("dynamic", "faults")``,
 ``("dynamic", "departures")`` and ``("dynamic", "loss")`` streams
@@ -154,7 +156,8 @@ class ChurnStep:
         return self.fault.failed_count if self.fault is not None else 0
 
     def place(self, count: int, initial: np.ndarray, seed, workload):
-        """One adapter call: place ``count`` balls against ``initial``."""
+        """One adapter call: place ``count`` balls against ``initial``;
+        returns the cohort's :class:`~repro.result.AllocationResult`."""
         return self.adapter.runner(
             count, self.n, initial_loads=initial, seed=seed,
             workload=workload, **self.options,
@@ -214,10 +217,11 @@ class ChurnStep:
             ctrl.stream("dynamic", "loss") if loss > 0 else None,
         )
         seconds = time.perf_counter() - start
+        lost = out.extra["lost_acks"]
         if fault is not None:
-            fault.lost_acks += out.lost_acks
-        self.residents.add_cohort(epoch, out.cohort)
+            fault.lost_acks += lost
+        self.residents.add_cohort(epoch, out.loads)
         return ChurnOutcome(
-            out.placed, out.unplaced, out.rounds, out.messages,
-            out.lost_acks, start, seconds,
+            out.m - out.unallocated, out.unallocated, out.rounds,
+            out.total_messages, lost, start, seconds,
         )

@@ -23,7 +23,9 @@ module executes it at epoch granularity for
   :func:`repro.core.faulty.run_heavy_faulty` semantics at epoch
   granularity) while the lost balls retry against the ghost-inflated
   loads.  Ghost reservations expire at the epoch boundary; retries
-  that still fail after ``max_retries`` rounds count as unplaced.
+  that still fail after ``max_retries`` rounds count as unallocated.
+  The result is the acked cohort's
+  :class:`~repro.result.AllocationResult`, like any placement's.
 
 Determinism: every fault draw is gated on its probability being
 strictly positive, and loss retries spawn sub-seeds from the epoch's
@@ -35,15 +37,16 @@ determinism tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import replace as dc_replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from repro.core.faulty import FaultModel
+from repro.result import AllocationResult
 from repro.workloads import Workload
 
-__all__ = ["FaultState", "FaultyPlacement", "place_with_loss"]
+__all__ = ["FaultState", "place_with_loss"]
 
 
 class FaultState:
@@ -133,25 +136,6 @@ class FaultState:
         }
 
 
-@dataclass(frozen=True)
-class FaultyPlacement:
-    """Aggregate outcome of one cohort placed under ack loss.
-
-    ``cohort`` is the per-bin count of *acked* balls (what joins the
-    resident state); ``ghosts`` the per-bin lost-ack reservations
-    (capacity the bins held this epoch for balls that never heard —
-    expired at the epoch boundary, so they never join ``cohort``).
-    """
-
-    cohort: np.ndarray
-    ghosts: np.ndarray
-    placed: int
-    unplaced: int
-    rounds: int
-    messages: int
-    lost_acks: int
-
-
 def place_with_loss(
     place_fn: Callable,
     count: int,
@@ -161,58 +145,64 @@ def place_with_loss(
     rng: Optional[np.random.Generator],
     *,
     max_retries: int = 16,
-) -> FaultyPlacement:
+) -> AllocationResult:
     """Place ``count`` balls under per-ack loss with ghost reservations.
 
-    ``place_fn(count, initial_loads, seed)`` must return a
-    :class:`~repro.dynamic.placement.DynamicPlacement`.  The first
-    attempt uses ``place_seed`` verbatim — with ``loss_prob = 0`` (when
-    ``rng`` is never drawn from and may be None), or a draw of zero
-    losses, the outcome is bitwise the lossless placement — and
-    each retry round places the lost balls against the ghost-inflated
-    loads with a fresh child spawned from ``place_seed`` (spawned only
-    when a retry actually happens).  Lost balls still unacked after
-    ``max_retries`` retry rounds count as unplaced.
+    ``place_fn(count, initial_loads, seed)`` is a dynamic adapter call:
+    it returns the cohort's :class:`~repro.result.AllocationResult`.
+    The first attempt uses ``place_seed`` verbatim — with
+    ``loss_prob = 0`` (when ``rng`` is never drawn from and may be
+    None), or a draw of zero losses, the outcome is bitwise the
+    lossless placement — and each retry round places the lost balls
+    against the ghost-inflated loads with a fresh child spawned from
+    ``place_seed`` (spawned only when a retry actually happens).  Lost
+    balls still unacked after ``max_retries`` retry rounds count as
+    unallocated.
+
+    Returns the *acked* cohort as an :class:`AllocationResult` of
+    ``count`` balls: ``loads`` is what joins the resident state, and
+    ``extra`` holds ``lost_acks`` and ``ghosts``, the per-bin lost-ack
+    reservations (capacity the bins held this epoch for balls that
+    never heard; they expire at the epoch boundary, so they never join
+    the cohort).
     """
     initial = np.asarray(initial, dtype=np.int64)
     first = place_fn(count, initial, place_seed)
-    delta = first.loads.astype(np.int64) - initial
-    prev_loads = first.loads.astype(np.int64)
-    placed = first.placed
-    unplaced = first.unplaced
+    # Every slot a placement reserved, acked or ghost.
+    landed = first.loads.copy()
+    delta = first.loads
+    unplaced = first.unallocated
     rounds = first.rounds
     messages = first.total_messages
     ghosts = np.zeros_like(initial)
-    lost_total = 0
     attempt = 0
     while loss_prob > 0:
-        lost_bins = rng.binomial(delta, loss_prob).astype(np.int64)
+        lost_bins = rng.binomial(delta, loss_prob)
         lost = int(lost_bins.sum())
         if lost == 0:
             break
-        lost_total += lost
         ghosts += lost_bins
-        placed -= lost
         attempt += 1
         if attempt > max_retries:
             # Give up: the last round's lost balls never hear an ack.
             unplaced += lost
             break
         (retry_seed,) = place_seed.spawn(1)
-        nxt = place_fn(lost, prev_loads, retry_seed)
-        delta = nxt.loads.astype(np.int64) - prev_loads
-        prev_loads = nxt.loads.astype(np.int64)
-        placed += nxt.placed
-        unplaced += nxt.unplaced
+        nxt = place_fn(lost, initial + landed, retry_seed)
+        delta = nxt.loads
+        landed += delta
+        unplaced += nxt.unallocated
         rounds += nxt.rounds
         messages += nxt.total_messages
-    cohort = prev_loads - initial - ghosts
-    return FaultyPlacement(
-        cohort=cohort,
-        ghosts=ghosts,
-        placed=placed,
-        unplaced=unplaced,
+    return AllocationResult(
+        algorithm=first.algorithm,
+        m=count,
+        n=initial.size,
+        loads=landed - ghosts,
         rounds=rounds,
-        messages=messages,
-        lost_acks=lost_total,
+        total_messages=messages,
+        complete=unplaced == 0,
+        unallocated=unplaced,
+        seed_entropy=first.seed_entropy,
+        extra={"lost_acks": int(ghosts.sum()), "ghosts": ghosts},
     )

@@ -442,12 +442,14 @@ def run_dynamic(
             placeholder = np.zeros(n, dtype=np.int64)
             placeholder[0] = arrived
             residents.add_cohort(epoch, placeholder)
+            # Placed over empty bins, the cohort is the new total.
             residents.reshuffle(
                 placement.loads, ctrl.stream("dynamic", "reshuffle")
             )
             out = ChurnOutcome(
-                placement.placed, placement.unplaced, placement.rounds,
-                placement.total_messages, 0, start, seconds,
+                placement.m - placement.unallocated, placement.unallocated,
+                placement.rounds, placement.total_messages, 0, start,
+                seconds,
             )
         elif tele is not None and arrived:
             tele.complete(

@@ -343,7 +343,6 @@ class RoundState:
         granularity: Granularity = "perball",
         trials: Optional[int] = None,
         track_messages: bool = False,
-        metrics: Optional[RunMetrics] = None,
         weights: Optional[np.ndarray] = None,
         weight_sum_sampler=None,
         initial_loads: Optional[np.ndarray] = None,
@@ -367,11 +366,6 @@ class RoundState:
                 )
             if trials < 1:
                 raise ValueError(f"trials must be >= 1, got {trials}")
-            if metrics is not None:
-                raise ValueError(
-                    "trial-batched states own one RunMetrics per trial; "
-                    "the metrics= override is scalar-only"
-                )
             if weight_sum_sampler is not None and (
                 not isinstance(weight_sum_sampler, (list, tuple))
                 or len(weight_sum_sampler) != trials
@@ -451,7 +445,7 @@ class RoundState:
                 if self.initial_loads is not None
                 else np.zeros(n, dtype=self._load_dtype)
             )
-            self.metrics = metrics if metrics is not None else RunMetrics(m, n)
+            self.metrics = RunMetrics(m, n)
             self.trial_metrics = None
             self.total_messages = 0
             self.trial_rounds = None

@@ -21,12 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.light.lw16 import (
-    LightConfig,
-    LightOutcome,
-    run_light,
-    run_light_batch,
-)
+from repro.light.lw16 import LightConfig, LightOutcome, run_light_batch
 from repro.utils.seeding import as_generator
 from repro.utils.validation import check_positive_int
 
@@ -94,29 +89,19 @@ def run_light_on_virtual_bins(
     *,
     seed=None,
     config: LightConfig = LightConfig(),
-    factor: int | None = None,
 ) -> tuple[np.ndarray, LightOutcome, VirtualBinMap]:
     """Run ``A_light`` over virtual bins and fold the result.
 
+    The one-trial call of :func:`run_light_on_virtual_bins_batch`.
     Returns ``(real_loads, light_outcome, vmap)`` where ``real_loads``
-    has length ``n_real_bins`` and sums to ``n_balls``.  The outcome's
-    ``assignment`` refers to *virtual* bins; use ``vmap.to_real`` for
-    real indices.
+    has length ``n_real_bins`` and sums to ``n_balls``, over the
+    :meth:`VirtualBinMap.for_balls` map.  The outcome's ``assignment``
+    refers to *virtual* bins; use ``vmap.to_real`` for real indices.
     """
-    n_real_bins = check_positive_int(n_real_bins, "n_real_bins")
-    if n_balls < 0:
-        raise ValueError(f"n_balls must be >= 0, got {n_balls}")
-    if factor is None:
-        vmap = VirtualBinMap.for_balls(n_balls, n_real_bins, config.capacity)
-    else:
-        vmap = VirtualBinMap(n_real=n_real_bins, factor=factor)
-        if config.capacity * vmap.n_virtual < n_balls:
-            raise ValueError(
-                f"factor {factor} gives capacity "
-                f"{config.capacity * vmap.n_virtual} < {n_balls} balls"
-            )
-    outcome = run_light(n_balls, vmap.n_virtual, seed=seed, config=config)
-    return vmap.fold_loads(outcome.loads), outcome, vmap
+    (run,) = run_light_on_virtual_bins_batch(
+        [n_balls], n_real_bins, seeds=[seed], config=config
+    )
+    return run
 
 
 def run_light_on_virtual_bins_batch(
@@ -126,14 +111,13 @@ def run_light_on_virtual_bins_batch(
     seeds: Sequence,
     config: LightConfig = LightConfig(),
 ) -> list[tuple[np.ndarray, LightOutcome, VirtualBinMap]]:
-    """:func:`run_light_on_virtual_bins` for many trials in one pass.
+    """Run ``A_light`` over virtual bins for many trials in one pass.
 
     Trial ``t`` places ``n_balls[t]`` balls over its own
     :meth:`VirtualBinMap.for_balls` map, drawing from ``seeds[t]``; all
-    trials run in lock-step through :func:`~repro.light.lw16.run_light_batch`.
-    Entry ``t`` is bitwise-identical to
-    ``run_light_on_virtual_bins(n_balls[t], n_real_bins,
-    seed=seeds[t], config=config)``.
+    trials run in lock-step through :func:`~repro.light.lw16.run_light_batch`,
+    so entry ``t`` does not depend on the other trials.  Returns one
+    ``(real_loads, light_outcome, vmap)`` per trial.
     """
     n_real_bins = check_positive_int(n_real_bins, "n_real_bins")
     vmaps = [

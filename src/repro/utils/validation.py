@@ -11,6 +11,7 @@ from typing import Any
 import numpy as np
 
 __all__ = [
+    "check_mode",
     "check_positive_int",
     "check_probability",
     "check_seed",
@@ -36,6 +37,15 @@ def check_positive_int(value: Any, name: str, *, minimum: int = 1) -> int:
     if ivalue < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {ivalue}")
     return ivalue
+
+
+def check_mode(mode: Any) -> None:
+    """Reject a granularity the round kernels do not run: the one mode
+    check of the kernel-backed runners and their dynamic adapters."""
+    if mode not in ("perball", "aggregate"):
+        raise ValueError(
+            f"mode must be 'perball' or 'aggregate', got {mode!r}"
+        )
 
 
 def check_probability(value: Any, name: str) -> float:

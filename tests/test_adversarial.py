@@ -36,11 +36,13 @@ from repro import (
     run_dynamic_many,
     simulate_service,
 )
+from repro.api import get_dynamic
 from repro.api.bench import ADVERSARIAL_COLUMNS, benchmark_adversarial, render
 from repro.dynamic.churn import _attack_workload
 from repro.dynamic.faults import FaultState, place_with_loss
 from repro.dynamic.state import ResidentState
 from repro.fastpath.backend import BACKEND_ENV_VAR
+from repro.result import AllocationResult
 from repro.service.events import EventQueue, SimulatedClock
 from repro.workloads import Workload, WorkloadError
 
@@ -356,22 +358,15 @@ class TestFaultState:
 def _uniform_place_fn(n):
     """A deterministic stand-in placement: round-robin, one round."""
 
-    class _Placement:
-        def __init__(self, loads, placed):
-            self.loads = loads
-            self.placed = placed
-            self.unplaced = 0
-            self.rounds = 1
-            self.total_messages = placed
-
     def place(count, initial, seed):
-        loads = np.asarray(initial, dtype=np.int64).copy()
         base, extra = divmod(count, n)
-        loads += base
+        cohort = np.full(n, base, dtype=np.int64)
         if extra:
-            order = np.argsort(loads, kind="stable")[:extra]
-            loads[order] += 1
-        return _Placement(loads, count)
+            order = np.argsort(initial + cohort, kind="stable")[:extra]
+            cohort[order] += 1
+        return AllocationResult(
+            "round-robin", count, n, cohort, rounds=1, total_messages=count
+        )
 
     return place
 
@@ -385,9 +380,9 @@ class TestPlaceWithLoss:
         out = place_with_loss(
             _uniform_place_fn(n), 40, initial, seed, 0.0, rng
         )
-        assert out.lost_acks == 0
-        assert not out.ghosts.any()
-        assert int(out.cohort.sum()) == 40
+        assert out.extra["lost_acks"] == 0
+        assert not out.extra["ghosts"].any()
+        assert int(out.loads.sum()) == 40
         # Zero loss draws nothing from the fault stream.
         assert rng.integers(0, 100) == np.random.default_rng(0).integers(
             0, 100
@@ -404,10 +399,11 @@ class TestPlaceWithLoss:
             0.2,
             np.random.default_rng(11),
         )
-        assert out.lost_acks > 0
-        assert (out.ghosts >= 0).all() and (out.cohort >= 0).all()
-        assert int(out.ghosts.sum()) == out.lost_acks
-        assert int(out.cohort.sum()) == out.placed == 100 - out.unplaced
+        ghosts = out.extra["ghosts"]
+        assert out.extra["lost_acks"] > 0
+        assert (ghosts >= 0).all() and (out.loads >= 0).all()
+        assert int(ghosts.sum()) == out.extra["lost_acks"]
+        assert int(out.loads.sum()) == 100 - out.unallocated
 
     def test_deterministic(self):
         n = 8
@@ -425,9 +421,31 @@ class TestPlaceWithLoss:
             )
             for _ in range(2)
         ]
-        np.testing.assert_array_equal(outs[0].cohort, outs[1].cohort)
-        np.testing.assert_array_equal(outs[0].ghosts, outs[1].ghosts)
-        assert outs[0].lost_acks == outs[1].lost_acks
+        np.testing.assert_array_equal(outs[0].loads, outs[1].loads)
+        np.testing.assert_array_equal(
+            outs[0].extra["ghosts"], outs[1].extra["ghosts"]
+        )
+        assert outs[0].extra["lost_acks"] == outs[1].extra["lost_acks"]
+
+    def test_adapter_cohort_under_loss(self):
+        """Through a real adapter, the acked cohort is an
+        ``AllocationResult`` of the whole count."""
+        heavy = get_dynamic("heavy").runner
+        initial = np.full(16, 40, dtype=np.int64)
+        out = place_with_loss(
+            lambda count, loads, seed: heavy(
+                count, 16, initial_loads=loads, seed=seed
+            ),
+            320,
+            initial,
+            np.random.SeedSequence(4),
+            0.1,
+            np.random.default_rng(5),
+        )
+        assert isinstance(out, AllocationResult)
+        assert (out.algorithm, out.m, out.unallocated) == ("heavy", 320, 0)
+        assert out.extra["lost_acks"] > 0
+        assert int(out.loads.sum()) == 320
 
     def test_max_retries_gives_up(self):
         n = 4
@@ -440,8 +458,8 @@ class TestPlaceWithLoss:
             np.random.default_rng(2),
             max_retries=1,
         )
-        assert out.unplaced > 0
-        assert out.placed + out.unplaced == 50
+        assert out.unallocated > 0
+        assert int(out.loads.sum()) + out.unallocated == 50
 
 
 # ---------------------------------------------------------------------------

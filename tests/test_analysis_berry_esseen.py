@@ -1,6 +1,10 @@
 """Tests for repro.analysis.berry_esseen (Theorem 4 / Claim 5)."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,3 +104,34 @@ class TestExactBinomialTail:
             binomial_upper_deviation_probability(-1, 10)
         with pytest.raises(ValueError):
             binomial_upper_deviation_probability(10, 0)
+
+
+#: One call of every user-facing entry point, then the scipy check.
+_ENTRY_POINTS = """
+import sys
+import repro
+repro.allocate("heavy", 2_000, 16, seed=1)
+repro.replicate("heavy", 2_000, 16, trials=4, seed=1)
+repro.run_dynamic("heavy", 2_000, 16, epochs=2, seed=1)
+service = repro.AllocatorService("heavy", 16, seed=1)
+service.place(300)
+service.release(100)
+service.drain()
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+"""
+
+
+def test_entry_points_do_not_load_scipy():
+    """Only the two scipy-backed functions here import scipy, when
+    called: ``import repro`` and the allocation entry points never
+    load it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY_POINTS],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

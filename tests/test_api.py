@@ -112,7 +112,7 @@ def _toy_runner(m, n, *, seed=None, mode="perball", workload=None, d=2):
     raise AssertionError("registration never calls the runner")
 
 
-def _toy_replicator(m, n, *, trials, seed_seqs, workload=None, extra=1):
+def _toy_replicator(m, n, *, seed_seqs, workload=None, extra=1):
     raise AssertionError("registration never calls the adapter")
 
 

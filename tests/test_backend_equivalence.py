@@ -762,7 +762,7 @@ class TestEndToEndEquivalence:
                 10_000, 64, initial_loads=initial, seed=9, mode="perball"
             )
         np.testing.assert_array_equal(ref.loads, fus.loads)
-        assert ref.placed == fus.placed
+        assert ref.unallocated == fus.unallocated
         assert ref.rounds == fus.rounds
         assert ref.total_messages == fus.total_messages
 

@@ -21,4 +21,5 @@ def test_package_docstring_example():
     import repro
 
     result = repro.run_heavy(m=1_000_000, n=1_000, seed=7)
+    assert result.complete
     assert result.max_load - result.m // result.n <= 4

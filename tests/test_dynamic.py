@@ -27,7 +27,6 @@ from repro.api import get_dynamic, get_spec
 from repro.core.combined import _waterfill, dynamic_combined
 from repro.core.heavy import dynamic_heavy
 from repro.dynamic import (
-    DynamicPlacement,
     DynamicSpec,
     ResidentState,
     run_dynamic,
@@ -35,6 +34,7 @@ from repro.dynamic import (
 )
 from repro.dynamic.spec import DEPARTURE_KINDS
 from repro.dynamic.state import hypergeometric_method
+from repro.result import AllocationResult
 from repro.workloads import WorkloadError
 
 DYNAMIC_CAPABLE = ("heavy", "combined", "single", "stemann")
@@ -404,7 +404,7 @@ class TestValueAnchors:
         direct = dynamic_heavy(
             800, 32, initial_loads=residents.loads, seed=children[3]
         )
-        assert np.array_equal(direct.loads, res.loads)
+        assert np.array_equal(residents.loads + direct.loads, res.loads)
         assert direct.total_messages == res.records[1].messages
 
     def test_settle_zero_fresh_adapter_is_run_heavy_bitwise(self):
@@ -421,6 +421,39 @@ class TestValueAnchors:
             assert np.array_equal(p.loads, h.loads), mode
             assert p.total_messages == h.total_messages
             assert p.rounds == h.rounds
+
+    @pytest.mark.parametrize("mode", ["perball", "aggregate"])
+    @pytest.mark.parametrize(
+        "algorithm, adapter_options, options",
+        [
+            ("heavy", {"settle_rounds": 0}, {}),
+            ("single", {}, {}),
+            ("stemann", {}, {}),
+            # A tight bound and one round strand balls, so
+            # ``unallocated`` is compared too.
+            ("stemann", {}, {"collision_factor": 1.05, "max_rounds": 1}),
+        ],
+        ids=["heavy", "single", "stemann", "stemann-stranded"],
+    )
+    def test_fresh_adapter_result_is_the_oneshot_result(
+        self, algorithm, adapter_options, options, mode
+    ):
+        """On empty bins a placement is the one-shot run on the cohort,
+        and both are an ``AllocationResult``."""
+        p = get_dynamic(algorithm).runner(
+            6000, 32, initial_loads=np.zeros(32, dtype=np.int64), seed=123,
+            mode=mode, **adapter_options, **options,
+        )
+        fresh = get_spec(algorithm).runner(
+            6000, 32, seed=123, mode=mode, **options
+        )
+        assert isinstance(p, AllocationResult)
+        assert p.algorithm == fresh.algorithm
+        assert np.array_equal(p.loads, fresh.loads)
+        assert (p.rounds, p.total_messages, p.unallocated) == (
+            fresh.rounds, fresh.total_messages, fresh.unallocated
+        )
+        assert p.complete == fresh.complete
 
 
 class TestPinnedStreams:
@@ -503,10 +536,11 @@ class TestSettlePins:
                 ),
                 drain_settle=drain, handoff=handoff,
             )
-        got = (p.loads.tolist(), p.placed, p.rounds, p.total_messages,
-               p.extra["settle_rounds"])
+        placed = p.m - p.unallocated
+        got = ((np.array([0, 2, 0]) + p.loads).tolist(), placed, p.rounds,
+               p.total_messages, p.extra["settle_rounds"])
         assert got == SATURATED_SETTLE_PINS[case]
-        assert p.unplaced == (0 if handoff else 7 - p.placed)
+        assert p.unallocated == (0 if handoff else 7 - placed)
         assert p.extra["workload"] == {"spec": "explicitcap[3 bins]"}
 
     @pytest.mark.parametrize("backend", ["reference", "fused"])
@@ -515,16 +549,17 @@ class TestSettlePins:
         from repro.fastpath.backend import use_backend
 
         mode, drain = case
+        initial = (np.arange(32) % 5) * 12
         with use_backend(backend):
             p = dynamic_heavy(
-                800, 32, initial_loads=(np.arange(32) % 5) * 12, seed=7,
+                800, 32, initial_loads=initial, seed=7,
                 workload="zipf:1.1+geomw:0.5", mode=mode, drain_settle=drain,
             )
         record = p.extra["workload"]
         assert record["spec"] == "zipf:1.1+geomw:0.5"
-        loads = np.ascontiguousarray(p.loads, dtype="<i8")
+        loads = np.ascontiguousarray(initial + p.loads, dtype="<i8")
         got = (
-            zlib.crc32(loads.tobytes()), p.placed, p.rounds,
+            zlib.crc32(loads.tobytes()), p.m - p.unallocated, p.rounds,
             p.total_messages, p.extra["settle_rounds"],
             record["weighted_max_load"], record["weighted_gap"],
             record["total_weight"],
@@ -637,8 +672,20 @@ class TestAdapters:
         initial = np.array([4, 2, 0, 1], dtype=np.int64)
         for adapter in (dynamic_heavy, dynamic_combined):
             p = adapter(0, 4, initial_loads=initial, seed=0)
-            assert np.array_equal(p.loads, initial)
-            assert p.placed == 0 and p.total_messages == 0
+            assert not p.loads.any()
+            assert p.m - p.unallocated == 0 and p.total_messages == 0
+
+    @pytest.mark.parametrize("algorithm", DYNAMIC_CAPABLE)
+    def test_placement_is_the_cohort(self, algorithm):
+        """Against residents, a placement's loads are where the cohort
+        landed; the result's own check holds them to ``m``."""
+        initial = np.full(16, 50, dtype=np.int64)
+        p = get_dynamic(algorithm).runner(
+            400, 16, initial_loads=initial, seed=3
+        )
+        assert isinstance(p, AllocationResult)
+        assert (p.m, p.n, p.unallocated) == (400, 16, 0)
+        assert p.loads.sum() == 400 and (p.loads >= 0).all()
 
     def test_heavy_placements_keep_no_per_ball_tallies(self, monkeypatch):
         """A placement returns no message counter, so per-ball epochs
@@ -675,29 +722,28 @@ class TestAdapters:
         initial = np.zeros(16, dtype=np.int64)
         initial[:8] = 2000
         p = dynamic_heavy(4000, 16, initial_loads=initial, seed=0)
-        assert p.unplaced == 0
-        delta = p.loads - initial
-        assert delta.sum() == 4000
+        assert p.unallocated == 0
+        assert p.loads.sum() == 4000
         # Hot bins take at most the light handoff's +2g spillover; the
         # bulk of the cohort fills the valleys.
-        assert delta[8:].sum() >= 3900
+        assert p.loads[8:].sum() >= 3900
 
     def test_heavy_cohort_smaller_than_n_allowed(self):
         # Incremental cohorts may be tiny; the heavy-regime floor
         # applies to the population, not the cohort.
         initial = np.full(32, 100, dtype=np.int64)
         p = dynamic_heavy(5, 32, initial_loads=initial, seed=1)
-        assert p.placed == 5
-        assert p.loads.sum() == initial.sum() + 5
+        assert p.m - p.unallocated == 5
+        assert p.loads.sum() == 5
 
     def test_stemann_respects_population_bound(self):
         from repro.baselines.stemann import dynamic_stemann
 
         initial = np.full(8, 100, dtype=np.int64)
         p = dynamic_stemann(160, 8, initial_loads=initial, seed=0)
-        assert p.unplaced == 0
-        assert p.loads.max() <= p.extra["collision_bound"]
-        assert p.loads.sum() == initial.sum() + 160
+        assert p.unallocated == 0
+        assert (initial + p.loads).max() <= p.extra["collision_bound"]
+        assert p.loads.sum() == 160
 
     def test_waterfill_levels_least_loaded(self):
         initial = np.array([5, 0, 2, 7], dtype=np.int64)
@@ -727,7 +773,7 @@ class TestAdapters:
             seed=0,
         )
         assert p.extra["branch"] == "trivial"
-        assert p.unplaced == 0
+        assert p.unallocated == 0
         assert p.loads.max() - p.loads.min() <= 1
 
     def test_combined_dispatches_heavy_otherwise(self):
@@ -743,16 +789,6 @@ class TestAdapters:
                     10, 4, initial_loads=np.zeros(3, dtype=np.int64),
                     seed=0,
                 )
-
-    def test_placement_validation(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            DynamicPlacement(
-                loads=np.zeros(2),
-                placed=-1,
-                unplaced=0,
-                rounds=0,
-                total_messages=0,
-            )
 
 
 class TestDynamicResult:

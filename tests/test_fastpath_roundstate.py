@@ -315,6 +315,17 @@ class TestCommitAndRevoke:
         assert state.loads.sum() == out.commits == 32 * 10**6
         assert state.active_count == 10**8 - out.commits
 
+    def test_aggregate_round_conserves_10_12_balls(self, rng):
+        # An aggregate round costs O(n) whatever m is.
+        state = RoundState(10**12, 4096, granularity="aggregate")
+        batch = state.sample_contacts(rng)
+        decision = state.group_and_accept(
+            batch, np.full(4096, 10**8, dtype=np.int64)
+        )
+        state.commit_and_revoke(batch, decision)
+        assert state.rounds == 1
+        assert state.loads.sum() + state.active_count == 10**12
+
     def test_message_cost_knobs(self, rng):
         # accept_cost=0 (one-shot): requests only.
         state = RoundState(50, 4, track_messages=True)

@@ -23,6 +23,7 @@ from repro.fastpath.sampling import (
 class TestSampleUniformChoices:
     def test_range_and_dtype(self, rng):
         out = sample_uniform_choices(1000, 7, rng)
+        assert out.size == 1000
         assert out.dtype == np.int64
         assert out.min() >= 0 and out.max() < 7
 

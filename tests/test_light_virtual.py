@@ -77,17 +77,6 @@ class TestRunOnVirtualBins:
         assert real_loads.sum() == 0
         assert outcome.rounds == 0
 
-    def test_explicit_factor(self):
-        real_loads, outcome, vmap = run_light_on_virtual_bins(
-            50, 10, seed=2, factor=5
-        )
-        assert vmap.factor == 5
-        assert real_loads.sum() == 50
-
-    def test_insufficient_factor_rejected(self):
-        with pytest.raises(ValueError, match="factor"):
-            run_light_on_virtual_bins(100, 10, seed=2, factor=1)
-
     def test_custom_capacity(self):
         real_loads, outcome, vmap = run_light_on_virtual_bins(
             120, 40, seed=2, config=LightConfig(capacity=1)

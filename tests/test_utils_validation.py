@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
+    check_mode,
     check_positive_int,
     check_probability,
     check_seed,
@@ -102,3 +103,32 @@ class TestEnsureMN:
     def test_numpy_inputs_converted(self):
         m, n = ensure_m_n(np.int32(20), np.int64(4))
         assert isinstance(m, int) and isinstance(n, int)
+
+
+class TestCheckMode:
+    def test_kernel_granularities_pass(self):
+        check_mode("perball")
+        check_mode("aggregate")
+
+    def test_every_kernel_runner_and_adapter_uses_it(self):
+        import repro
+        from repro.api import get_dynamic
+
+        calls = [
+            lambda: repro.run_heavy(1000, 10, mode="warp"),
+            lambda: repro.run_asymmetric(1000, 10, mode="warp"),
+            lambda: repro.run_single_choice(10, 2, mode="warp"),
+            lambda: repro.run_stemann(10, 2, mode="warp"),
+        ] + [
+            # An empty cohort checks the mode before it returns.
+            lambda name=name: get_dynamic(name).runner(
+                0, 4, initial_loads=np.zeros(4, dtype=np.int64), mode="warp"
+            )
+            for name in ("heavy", "combined", "single", "stemann")
+        ]
+        for call in calls:
+            with pytest.raises(
+                ValueError,
+                match="mode must be 'perball' or 'aggregate', got 'warp'",
+            ):
+                call()
